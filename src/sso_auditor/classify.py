@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from . import spar
-from .domains import origin_of, url_host
+from .domains import origin_of, split_url, url_host
 from .exceptions import MalformedInput, MalformedJwt
 from .trace import HttpEntry, IbcEvent, Trace
 
 KIND_LOGIN_REQUEST = "login-request"
 KIND_LOGIN_RESPONSE = "login-response"
-KIND_TOKEN_REQUEST = "token-request"
-KIND_TOKEN_RESPONSE = "token-response"
 
 CHANNEL_QUERY = "http-query"
 CHANNEL_FRAGMENT = "http-fragment"
@@ -125,8 +123,7 @@ class IdpRegistry:
         return None
 
     def _match(self, url: str, attr: str) -> str | None:
-        from urllib.parse import urlsplit
-        parts = urlsplit(url)
+        parts = split_url(url)
         host = (parts.hostname or "").lower()
         path = parts.path or "/"
         for idp in self.idps:
@@ -208,8 +205,7 @@ def entry_param_trees(entry: HttpEntry, max_depth: int = spar.DEFAULT_MAX_DEPTH,
                       max_nodes: int = spar.DEFAULT_MAX_NODES,
                       ) -> list[tuple[str, spar.SparNode]]:
     """Decoded parameter surfaces of a request: query, fragment, body."""
-    from urllib.parse import urlsplit
-    parts = urlsplit(entry.request.url)
+    parts = split_url(entry.request.url)
     trees = []
     if parts.query:
         trees.append((CHANNEL_QUERY,
@@ -317,14 +313,14 @@ def dedupe_login_requests(messages: list[SsoMessage]) -> list[SsoMessage]:
 
 
 def _redirect_prefix_key(redirect_uri: str) -> str:
-    from urllib.parse import urlsplit
-    parts = urlsplit(redirect_uri)
+    parts = split_url(redirect_uri)
     return f"{(parts.hostname or '').lower()}{parts.path}"
 
 
 def _redirect_prefix(redirect_uri: str) -> str:
-    from urllib.parse import urlsplit
-    parts = urlsplit(redirect_uri)
+    # an unsplittable redirect_uri gives "://", which no parsed entry URL
+    # starts with, so nothing is matched to it
+    parts = split_url(redirect_uri)
     return f"{parts.scheme.lower()}://{(parts.netloc or '').lower()}{parts.path}"
 
 
@@ -385,8 +381,7 @@ def match_login_response(trace: Trace, request: SsoMessage) -> SsoMessage | None
 
 
 def _url_prefix_match(url: str, prefix: str) -> bool:
-    from urllib.parse import urlsplit
-    parts = urlsplit(url)
+    parts = split_url(url)
     normalized = f"{parts.scheme.lower()}://{(parts.netloc or '').lower()}{parts.path}"
     return normalized.startswith(prefix)
 

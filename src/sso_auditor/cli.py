@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import landscape as landscape_mod
@@ -73,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "markdown"), default="json")
         p.add_argument("--out", metavar="PATH",
                        help="write the report here instead of stdout")
-        p.add_argument("--jobs", type=int, default=4,
-                       help="worker threads for directory analysis")
 
     p_analyze = sub.add_parser("analyze", help="security-analyze login runs")
     p_analyze.add_argument("trace_dir")
@@ -176,51 +173,34 @@ def _read_bundle(bundle_dir: Path) -> Trace:
     return parse_trace_bundle(har_path.read_bytes(), meta_path.read_bytes(), ibc)
 
 
-def _login_units(root: Path) -> list[tuple[str, str, Path]]:
-    units = []
-    for domain_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        for idp_dir in sorted(p for p in domain_dir.iterdir() if p.is_dir()):
-            units.append((domain_dir.name, idp_dir.name, idp_dir))
-    return units
-
-
-def _analyze_unit(unit: tuple[str, str, Path], cfg: security.RuleConfig,
-                  registry: IdpRegistry) -> security.SecurityAnalysis:
-    _, _, idp_dir = unit
-    run1_dir = idp_dir / "run1"
-    run2_dir = idp_dir / "run2"
-    if not run1_dir.is_dir():
-        raise MalformedInput(f"no run1 directory in {idp_dir}")
-    run1 = _read_bundle(run1_dir)
-    run2 = _read_bundle(run2_dir) if run2_dir.is_dir() else None
-    return security.run_all(run1, run2, cfg, registry)
+def _unit_dirs(root: Path) -> list[Path]:
+    """<root>/<domain>/<idp> directories, in sorted order."""
+    if not root.is_dir():
+        raise MalformedInput(f"not a directory: {root}")
+    return [idp_dir
+            for domain_dir in sorted(p for p in root.iterdir() if p.is_dir())
+            for idp_dir in sorted(p for p in domain_dir.iterdir() if p.is_dir())]
 
 
 def _cmd_analyze(args) -> int:
+    # one thread: the work is pure Python and holds the GIL throughout
     cfg, registry, source = _load_config(args)
-    root = Path(args.trace_dir)
-    if not root.is_dir():
-        raise MalformedInput(f"not a directory: {root}")
-    units = _login_units(root)
-
-    latest = None
+    captured = []
     analyses = []
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        for analysis in pool.map(
-                lambda unit: _analyze_unit(unit, cfg, registry), units):
-            analyses.append(analysis)
-    for _, _, idp_dir in units:
-        for run_name in ("run1", "run2"):
-            meta = idp_dir / run_name / "meta.json"
-            if meta.is_file():
-                from .trace import parse_metadata
-                captured = parse_metadata(meta.read_bytes()).captured_at
-                if latest is None or captured > latest:
-                    latest = captured
+    for idp_dir in _unit_dirs(Path(args.trace_dir)):
+        run1_dir = idp_dir / "run1"
+        run2_dir = idp_dir / "run2"
+        if not run1_dir.is_dir():
+            raise MalformedInput(f"no run1 directory in {idp_dir}")
+        run1 = _read_bundle(run1_dir)
+        run2 = _read_bundle(run2_dir) if run2_dir.is_dir() else None
+        captured += [trace.metadata.captured_at for trace in (run1, run2)
+                     if trace is not None]
+        analyses.append(security.run_all(run1, run2, cfg, registry))
 
     report = report_mod.build_report(security=analyses, cfg=cfg,
                                      registry_source=source,
-                                     generated_at=latest)
+                                     generated_at=max(captured, default=None))
     _emit(report_mod.render_report(report, args.format), args.out)
     if report_mod.report_vulnerability_count(report) > 0:
         return EXIT_VULNERABLE
@@ -229,29 +209,23 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_privacy(args) -> int:
     cfg, registry, source = _load_config(args)
-    root = Path(args.trace_dir)
-    if not root.is_dir():
-        raise MalformedInput(f"not a directory: {root}")
-
     findings = []
-    latest = None
-    for domain_dir in sorted(p for p in root.iterdir() if p.is_dir()):
-        for idp_dir in sorted(p for p in domain_dir.iterdir() if p.is_dir()):
-            for profile_dir_name in sorted(_PROFILE_DIRS):
-                bundle_dir = idp_dir / profile_dir_name
-                if not bundle_dir.is_dir():
-                    continue
-                trace = _read_bundle(bundle_dir)
-                if latest is None or trace.metadata.captured_at > latest:
-                    latest = trace.metadata.captured_at
-                findings.extend(privacy_mod.detect_lal(trace, registry))
-                findings.extend(privacy_mod.detect_tel(trace, registry))
+    captured = []
+    for idp_dir in _unit_dirs(Path(args.trace_dir)):
+        for profile_dir_name in sorted(_PROFILE_DIRS):
+            bundle_dir = idp_dir / profile_dir_name
+            if not bundle_dir.is_dir():
+                continue
+            trace = _read_bundle(bundle_dir)
+            captured.append(trace.metadata.captured_at)
+            findings.extend(privacy_mod.detect_lal(trace, registry))
+            findings.extend(privacy_mod.detect_tel(trace, registry))
 
     table = privacy_mod.aggregate_privacy(findings)
     table["findings"] = [f.to_dict() for f in findings]
     report = report_mod.build_report(privacy=table, cfg=cfg,
                                      registry_source=source,
-                                     generated_at=latest)
+                                     generated_at=max(captured, default=None))
     _emit(report_mod.render_report(report, args.format), args.out)
     return EXIT_OK
 
@@ -281,7 +255,12 @@ def _cmd_landscape_queries(args) -> int:
 
 
 def _cmd_report_render(args) -> int:
-    doc = json.loads(Path(args.report_file).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(args.report_file).read_text(encoding="utf-8"))
+    except ValueError as exc:  # also covers UnicodeDecodeError
+        raise MalformedInput(f"report file is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedInput("report file must hold a JSON object")
     text = report_mod.render_report(doc, args.format)
     _emit(text, getattr(args, "out", None))
     return EXIT_OK

@@ -10,7 +10,7 @@ a deployment needs more.
 from __future__ import annotations
 
 import ipaddress
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 # Multi-label public suffixes seen often enough to matter.  Single-label
 # suffixes (com, org, de, ...) need no table: last-two-labels already wins.
@@ -56,23 +56,40 @@ def registrable_domain(host: str) -> str:
     return tail2
 
 
+_UNSPLIT = SplitResult("", "", "", "", "")
+
+
+def split_url(url: str) -> SplitResult:
+    """``urlsplit`` that yields all-empty parts for a URL it cannot split.
+
+    Recorded traffic carries hostile URLs such as ``https://[::1/cb``;
+    callers treat the empty result as "not a URL" instead of crashing.
+    """
+    try:
+        return urlsplit(url)
+    except ValueError:
+        return _UNSPLIT
+
+
 def url_host(url: str) -> str:
-    return (urlsplit(url).hostname or "").lower()
+    return (split_url(url).hostname or "").lower()
 
 
 def origin_of(url: str) -> str:
-    """scheme://host[:port] of a URL, lowercased, default ports dropped."""
-    parts = urlsplit(url)
+    """scheme://host[:port] of a URL, lowercased, default ports dropped.
+
+    Empty when the port is out of range.
+    """
+    parts = split_url(url)
     scheme = parts.scheme.lower()
     host = (parts.hostname or "").lower()
-    port = parts.port
+    try:
+        port = parts.port
+    except ValueError:
+        return ""
     if port is None or (scheme, port) in (("http", 80), ("https", 443)):
         return f"{scheme}://{host}"
     return f"{scheme}://{host}:{port}"
-
-
-def same_site(host_a: str, host_b: str) -> bool:
-    return registrable_domain(host_a) == registrable_domain(host_b)
 
 
 def is_loopback_host(host: str) -> bool:

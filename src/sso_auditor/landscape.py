@@ -284,14 +284,22 @@ class ScanRecord:
     def from_dict(cls, doc: dict) -> "ScanRecord":
         if not isinstance(doc, dict) or "domain" not in doc:
             raise MalformedInput("scan record needs a domain")
+        login_pages = doc.get("login_pages", [])
+        idps = doc.get("idps", [])
+        if not isinstance(login_pages, list):
+            raise MalformedInput("scan record login_pages must be a list")
+        if not isinstance(idps, list) \
+                or not all(isinstance(i, dict) and "idp" in i for i in idps):
+            raise MalformedInput(
+                "scan record idps must be a list of objects with an idp")
         return cls(
             domain=str(doc["domain"]),
             scanned_at=str(doc.get("scanned_at", "")),
-            login_pages=tuple(doc.get("login_pages", ())),
+            login_pages=tuple(login_pages),
             idps=tuple(IdpObservation(idp=str(i["idp"]),
                                       method=str(i.get("method", METHOD_MANUAL)),
                                       login_page=str(i.get("login_page", "")))
-                       for i in doc.get("idps", ())),
+                       for i in idps),
         )
 
 
@@ -302,7 +310,10 @@ def dump_scan_records(records: Iterable[ScanRecord]) -> str:
 
 def load_scan_records(data: bytes | str) -> list[ScanRecord]:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedInput(f"scan records are not UTF-8: {exc}") from exc
     records = []
     for line_no, line in enumerate(data.splitlines(), start=1):
         line = line.strip()

@@ -3,7 +3,7 @@
 Reports are plain dictionaries with a pinned schema version and a stable
 field set, serialized as canonical JSON (sorted keys) so identical inputs
 produce identical bytes.  The Markdown renderer summarizes findings per
-identity provider in seven columns.
+identity provider in the columns that ``data/rules.json`` assigns to rules.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .exceptions import UnknownFormat
-from .security import RuleConfig, SecurityAnalysis
+from .security import RULES, RuleConfig, SecurityAnalysis
 from .trace import format_timestamp
 
 SCHEMA_VERSION = 1
@@ -21,16 +21,12 @@ SCHEMA_VERSION = 1
 FORMAT_JSON = "json"
 FORMAT_MARKDOWN = "markdown"
 
-# column label -> rule ids counted in it
-SUMMARY_COLUMNS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("Obsolete Flows", ("flow.obsolete",)),
-    ("Protocol Mix-Up", ("protocol.mixup",)),
-    ("Flow Mix-Up", ("flow.mixup",)),
-    ("Open Redirect", ("redirect.nested-url",)),
-    ("CSRF Weak", ("csrf.weak",)),
-    ("CSRF Missing", ("csrf.missing",)),
-    ("Secret Leakage", ("secret.client-secret-fc", "secret.referer-leak")),
-)
+# rule id -> Markdown summary column counting it; columns are laid out in
+# the order they first appear in the catalog
+SUMMARY_COLUMNS: dict[str, str] = {
+    rule_id: rule["column"] for rule_id, rule in RULES.items() if "column" in rule
+}
+_SUMMARY_LABELS = tuple(dict.fromkeys(SUMMARY_COLUMNS.values()))
 
 
 def build_report(security: list[SecurityAnalysis] | None = None,
@@ -72,17 +68,16 @@ def canonical_json(doc: object) -> str:
 
 
 def _render_markdown(report: dict) -> str:
+    labels = _SUMMARY_LABELS
     per_idp: dict[str, dict[str, int]] = {}
     for fragment in report.get("security", []):
         for finding in fragment.get("findings", []):
             idp = finding.get("idp", "unknown")
-            counts = per_idp.setdefault(
-                idp, {label: 0 for label, _ in SUMMARY_COLUMNS})
-            for label, rule_ids in SUMMARY_COLUMNS:
-                if finding.get("rule_id") in rule_ids:
-                    counts[label] += 1
+            counts = per_idp.setdefault(idp, dict.fromkeys(labels, 0))
+            label = SUMMARY_COLUMNS.get(finding.get("rule_id"))
+            if label is not None:
+                counts[label] += 1
 
-    labels = [label for label, _ in SUMMARY_COLUMNS]
     lines = []
     lines.append("# Login security summary")
     lines.append("")

@@ -16,24 +16,25 @@ Scoping decisions that matter for interpretation:
   check reports.
 * Rules are evaluated against the first recording; the second one only
   supplies paired values.
+
+Each rule's category, title, reference and report column live in
+``data/rules.json`` and nowhere else; ``Finding.category`` reads it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
-from urllib.parse import urlsplit
 
 from . import classify, spar
 from .classify import IdpRegistry, SsoMessage, default_registry
-from .domains import is_loopback_host, registrable_domain, url_host
+from .domains import is_loopback_host, registrable_domain, split_url, url_host
 from .exceptions import MalformedJwt, ProfileMismatch
 from .trace import PROFILE_LOGIN_RUN, Trace
 
 CATEGORY_VULNERABILITY = "vulnerability"
-CATEGORY_POTENTIAL_ISSUE = "potential-issue"
 
 BASIS_STATIC = "static-across-runs"
 BASIS_CHARSET = "charset-length"
@@ -61,6 +62,16 @@ RULE_IDTOKEN_MALFORMED = "idtoken.malformed"
 RULE_ANALYZER_ERROR = "analyzer.error"
 
 
+def load_rule_catalog() -> list[dict]:
+    text = resources.files("sso_auditor").joinpath("data/rules.json") \
+        .read_text(encoding="utf-8")
+    return json.loads(text)
+
+
+# rule id -> catalog entry (category, title, reference, optional column)
+RULES: dict[str, dict] = {item["rule_id"]: item for item in load_rule_catalog()}
+
+
 @dataclass(frozen=True)
 class Evidence:
     entry_index: int
@@ -79,7 +90,6 @@ class Evidence:
 @dataclass(frozen=True)
 class Finding:
     rule_id: str
-    category: str
     idp: str
     domain: str
     evidence: tuple[Evidence, ...]
@@ -88,6 +98,10 @@ class Finding:
     def __post_init__(self):
         if not self.evidence:
             raise ValueError("findings need at least one evidence item")
+
+    @property
+    def category(self) -> str:
+        return RULES[self.rule_id]["category"]
 
     def to_dict(self) -> dict:
         return {
@@ -218,8 +232,7 @@ def check_csrf(pair: LoginPair, cfg: RuleConfig | None = None) -> list[Finding]:
     present = [name for name in _CSRF_PARAMS if req.params.get(name) is not None]
     if not present:
         return [Finding(
-            rule_id=RULE_CSRF_MISSING, category=CATEGORY_VULNERABILITY,
-            idp=req.idp, domain="",
+            rule_id=RULE_CSRF_MISSING, idp=req.idp, domain="",
             evidence=(_request_evidence(req),),
             message="login request carries neither state nor nonce nor a "
                     "PKCE challenge",
@@ -243,8 +256,7 @@ def check_csrf(pair: LoginPair, cfg: RuleConfig | None = None) -> list[Finding]:
     else:
         detail = f"upper bound {best.bits:.2f} bits"
     return [Finding(
-        rule_id=RULE_CSRF_WEAK, category=CATEGORY_VULNERABILITY,
-        idp=req.idp, domain="",
+        rule_id=RULE_CSRF_WEAK, idp=req.idp, domain="",
         evidence=(_param_evidence(req, best_name),),
         message=f"best CSRF protection parameter {best_name!r} is guessable "
                 f"({detail}, threshold {cfg.entropy_threshold_bits:g} bits)",
@@ -265,8 +277,7 @@ def check_obsolete_flow(request: SsoMessage,
     else:
         return []
     return [Finding(
-        rule_id=RULE_FLOW_OBSOLETE, category=CATEGORY_POTENTIAL_ISSUE,
-        idp=request.idp, domain="",
+        rule_id=RULE_FLOW_OBSOLETE, idp=request.idp, domain="",
         evidence=(_param_evidence(response, token_name),),
         message=reason,
     )]
@@ -279,8 +290,7 @@ def check_mixups(request: SsoMessage, response: SsoMessage | None,
     if response is not None and response.params.id_token is not None \
             and "openid" not in scope_tokens:
         findings.append(Finding(
-            rule_id=RULE_PROTOCOL_MIXUP, category=CATEGORY_POTENTIAL_ISSUE,
-            idp=request.idp, domain="",
+            rule_id=RULE_PROTOCOL_MIXUP, idp=request.idp, domain="",
             evidence=(_param_evidence(response, "id_token"),),
             message="an id_token was returned although the request did not "
                     "ask for the openid scope",
@@ -311,8 +321,7 @@ def check_mixups(request: SsoMessage, response: SsoMessage | None,
             message = (f"requested flow {requested_flow!r} but the response "
                        f"matches {returned_flow!r}")
         findings.append(Finding(
-            rule_id=RULE_FLOW_MIXUP, category=CATEGORY_POTENTIAL_ISSUE,
-            idp=request.idp, domain="",
+            rule_id=RULE_FLOW_MIXUP, idp=request.idp, domain="",
             evidence=(evidence,), message=message,
         ))
     return findings
@@ -337,8 +346,7 @@ def check_open_redirect(request: SsoMessage,
         for path, url in nested
     )
     return [Finding(
-        rule_id=RULE_OPEN_REDIRECT, category=CATEGORY_POTENTIAL_ISSUE,
-        idp=request.idp, domain="",
+        rule_id=RULE_OPEN_REDIRECT, idp=request.idp, domain="",
         evidence=evidence,
         message=f"redirect_uri embeds {len(evidence)} nested absolute URL(s); "
                 "possible open-redirector chaining",
@@ -352,8 +360,7 @@ def check_injection_protection(request: SsoMessage,
             and request.params.code_challenge is None \
             and request.params.nonce is None:
         findings.append(Finding(
-            rule_id=RULE_CODE_UNPROTECTED, category=CATEGORY_POTENTIAL_ISSUE,
-            idp=request.idp, domain="",
+            rule_id=RULE_CODE_UNPROTECTED, idp=request.idp, domain="",
             evidence=(_param_evidence(response, "code"),),
             message="authorization code is not bound to the client via PKCE "
                     "or nonce; code injection is not detectable",
@@ -366,8 +373,7 @@ def check_injection_protection(request: SsoMessage,
             payload = None
         if payload is not None and "at_hash" not in payload:
             findings.append(Finding(
-                rule_id=RULE_AT_HASH_MISSING, category=CATEGORY_POTENTIAL_ISSUE,
-                idp=request.idp, domain="",
+                rule_id=RULE_AT_HASH_MISSING, idp=request.idp, domain="",
                 evidence=(_param_evidence(response, "id_token"),),
                 message="id_token and access_token are returned together but "
                         "the id_token carries no at_hash binding",
@@ -382,23 +388,20 @@ def check_id_token_alg(response: SsoMessage | None) -> list[Finding]:
         header, _, _ = spar.jwt_parts(response.params.id_token)
     except MalformedJwt as exc:
         return [Finding(
-            rule_id=RULE_IDTOKEN_MALFORMED, category=CATEGORY_POTENTIAL_ISSUE,
-            idp=response.idp, domain="",
+            rule_id=RULE_IDTOKEN_MALFORMED, idp=response.idp, domain="",
             evidence=(_param_evidence(response, "id_token"),),
             message=f"id_token does not decode as a JWT: {exc}",
         )]
     alg = str(header.get("alg", ""))
     if alg.lower() == "none":
         return [Finding(
-            rule_id=RULE_IDTOKEN_NONE, category=CATEGORY_VULNERABILITY,
-            idp=response.idp, domain="",
+            rule_id=RULE_IDTOKEN_NONE, idp=response.idp, domain="",
             evidence=(_param_evidence(response, "id_token"),),
             message="id_token is unsigned (alg=none)",
         )]
     if alg.startswith("HS"):
         return [Finding(
-            rule_id=RULE_IDTOKEN_SYMMETRIC, category=CATEGORY_VULNERABILITY,
-            idp=response.idp, domain="",
+            rule_id=RULE_IDTOKEN_SYMMETRIC, idp=response.idp, domain="",
             evidence=(_param_evidence(response, "id_token"),),
             message=f"id_token uses a symmetric signature ({alg}); the "
                     "client must hold the shared secret",
@@ -434,8 +437,8 @@ def check_secret_leakage(trace: Trace, messages: list[SsoMessage],
                 excerpt=node.raw))
     if secret_evidence:
         findings.append(Finding(
-            rule_id=RULE_SECRET_FC, category=CATEGORY_VULNERABILITY,
-            idp=idp, domain=domain, evidence=tuple(secret_evidence),
+            rule_id=RULE_SECRET_FC, idp=idp, domain=domain,
+            evidence=tuple(secret_evidence),
             message="client_secret is exposed in the front channel",
         ))
 
@@ -462,15 +465,15 @@ def check_secret_leakage(trace: Trace, messages: list[SsoMessage],
                 break
     if referer_evidence:
         findings.append(Finding(
-            rule_id=RULE_REFERER_LEAK, category=CATEGORY_VULNERABILITY,
-            idp=idp, domain=domain, evidence=tuple(referer_evidence),
+            rule_id=RULE_REFERER_LEAK, idp=idp, domain=domain,
+            evidence=tuple(referer_evidence),
             message="login tokens leak through the Referer header to a "
                     "third party",
         ))
 
     url_evidence = []
     for index, entry in enumerate(trace.entries):
-        query = urlsplit(entry.request.url).query
+        query = split_url(entry.request.url).query
         if not query:
             continue
         tree = spar.decode_query_string(query, cfg.max_spar_depth,
@@ -486,8 +489,8 @@ def check_secret_leakage(trace: Trace, messages: list[SsoMessage],
                 break
     if url_evidence:
         findings.append(Finding(
-            rule_id=RULE_TOKEN_IN_URL, category=CATEGORY_POTENTIAL_ISSUE,
-            idp=idp, domain=domain, evidence=tuple(url_evidence),
+            rule_id=RULE_TOKEN_IN_URL, idp=idp, domain=domain,
+            evidence=tuple(url_evidence),
             message="login tokens appear in navigated URL query strings "
                     "(browser history, server logs)",
         ))
@@ -496,7 +499,7 @@ def check_secret_leakage(trace: Trace, messages: list[SsoMessage],
 
 def _front_channel_trees(entry, cfg: RuleConfig):
     """Query and fragment surfaces only; bodies are not browser-visible URLs."""
-    parts = urlsplit(entry.request.url)
+    parts = split_url(entry.request.url)
     if parts.query:
         yield (classify.CHANNEL_QUERY,
                spar.decode_query_string(parts.query, cfg.max_spar_depth,
@@ -525,21 +528,19 @@ def check_transport(trace: Trace, messages: list[SsoMessage],
         redirect_uri = msg.params.redirect_uri
         if not redirect_uri:
             continue
-        parts = urlsplit(redirect_uri)
+        parts = split_url(redirect_uri)
         if parts.scheme.lower() == "http" \
                 and not is_loopback_host(parts.hostname or ""):
             findings.append(Finding(
-                rule_id=RULE_PLAIN_REDIRECT_URI, category=CATEGORY_VULNERABILITY,
-                idp=msg.idp, domain=domain,
+                rule_id=RULE_PLAIN_REDIRECT_URI, idp=msg.idp, domain=domain,
                 evidence=(_param_evidence(msg, "redirect_uri"),),
                 message="redirect_uri uses plain http on a non-loopback host",
             ))
 
     for index, entry in enumerate(trace.entries):
-        if urlsplit(entry.request.url).scheme.lower() == "http":
+        if split_url(entry.request.url).scheme.lower() == "http":
             findings.append(Finding(
-                rule_id=RULE_PLAIN_REQUEST, category=CATEGORY_POTENTIAL_ISSUE,
-                idp=idp, domain=domain,
+                rule_id=RULE_PLAIN_REQUEST, idp=idp, domain=domain,
                 evidence=(Evidence(entry_index=index, spar_path="url",
                                    excerpt=entry.request.url),),
                 message="request sent over plain http",
@@ -549,7 +550,7 @@ def check_transport(trace: Trace, messages: list[SsoMessage],
         if entry.response.status != 307 or not entry.response.redirect_target:
             continue
         target = entry.response.redirect_target
-        target_parts = urlsplit(target)
+        target_parts = split_url(target)
         token_hit = False
         for component in (target_parts.query, target_parts.fragment):
             if not component:
@@ -561,8 +562,7 @@ def check_transport(trace: Trace, messages: list[SsoMessage],
                 break
         if token_hit:
             findings.append(Finding(
-                rule_id=RULE_307_RESPONSE, category=CATEGORY_POTENTIAL_ISSUE,
-                idp=idp, domain=domain,
+                rule_id=RULE_307_RESPONSE, idp=idp, domain=domain,
                 evidence=(Evidence(entry_index=index, spar_path="location",
                                    excerpt=target),),
                 message="authorization response is relayed with status 307, "
@@ -683,7 +683,6 @@ def run_all(run1: Trace, run2: Trace | None = None,
             except Exception as exc:  # a broken rule must not kill the report
                 findings.append(Finding(
                     rule_id=RULE_ANALYZER_ERROR,
-                    category=CATEGORY_POTENTIAL_ISSUE,
                     idp=request.idp, domain=run1.metadata.domain,
                     evidence=(Evidence(entry_index=request.entry_ref,
                                        spar_path=name,
@@ -712,12 +711,7 @@ def run_all(run1: Trace, run2: Trace | None = None,
     findings.extend(check_transport(run1, messages1, cfg))
 
     domain = run1.metadata.domain
-    findings = [
-        Finding(rule_id=f.rule_id, category=f.category, idp=f.idp,
-                domain=f.domain or domain, evidence=f.evidence,
-                message=f.message)
-        for f in findings
-    ]
+    findings = [replace(f, domain=f.domain or domain) for f in findings]
     findings.sort(key=lambda f: (f.rule_id, f.evidence[0].entry_index,
                                  f.evidence[0].spar_path))
     analysis.findings = findings
@@ -733,10 +727,11 @@ def match_or_none(trace: Trace | None, request: SsoMessage | None,
 
 def _visible_token_exchange(trace: Trace, registry: IdpRegistry,
                             request: SsoMessage) -> bool:
-    """A front-channel token endpoint response returning more than asked for."""
+    """A front-channel response of the login's own IdP token endpoint
+    returning more than asked for."""
     requested = classify.requested_token_kinds(request)
     for entry in trace.entries:
-        if registry.match_token(entry.request.url) is None:
+        if registry.match_token(entry.request.url) != request.idp:
             continue
         body = entry.response.body
         mime = (entry.response.body_mime or "").split(";")[0].strip().lower()
@@ -754,15 +749,3 @@ def _visible_token_exchange(trace: Trace, registry: IdpRegistry,
             return True
     return False
 
-
-# ---------------------------------------------------------------------------
-# rule catalog
-
-def load_rule_catalog() -> list[dict]:
-    text = resources.files("sso_auditor").joinpath("data/rules.json") \
-        .read_text(encoding="utf-8")
-    return json.loads(text)
-
-
-def catalog_categories() -> dict[str, str]:
-    return {item["rule_id"]: item["category"] for item in load_rule_catalog()}

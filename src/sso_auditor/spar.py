@@ -16,7 +16,8 @@ is fixed so that the same input always yields the same tree:
 5. percent      applied only when unquoting changes the string and the
                 decoded string itself has structure
 6. base64(url)  length >= 8 and a multiple of 4, canonical alphabet, and
-                the decoded bytes are printable UTF-8 or parse as JSON
+                the decoded bytes are printable ASCII or a UTF-8 JSON
+                container
 
 Stops are silent: depth and node budgets truncate the tree, they never
 raise.  A node is a leaf exactly when it has no children.
@@ -30,8 +31,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterator
-from urllib.parse import parse_qsl, unquote, urlsplit
+from urllib.parse import parse_qsl, unquote
 
+from .domains import split_url
 from .exceptions import MalformedJwt
 
 LEAF = "leaf"
@@ -148,12 +150,8 @@ def _add_child(node: SparNode, segment: str, value: str, max_depth: int,
                budget: _Budget) -> bool:
     if node.depth >= max_depth or not budget.take():
         return False
-    key = segment
-    n = 2
-    while key in node.children:
-        key = f"{segment}#{n}"
-        n += 1
-    node.children[key] = _decode_node(value, node.depth + 1, max_depth, budget)
+    node.children[segment] = _decode_node(value, node.depth + 1, max_depth,
+                                          budget)
     return True
 
 
@@ -235,15 +233,26 @@ def _try_form(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bo
 def _attach_form_children(node: SparNode, value: str, max_depth: int,
                           budget: _Budget, label: str) -> None:
     node.decoding = label
+    # Form keys are the only segments that repeat (JSON keys and indices,
+    # JWT parts and URL components are distinct).  A repeat becomes key#2,
+    # key#3, ...; ``next_suffix`` resumes each key's probe where it stopped,
+    # which gives the same names as probing from 2 since names are never
+    # freed, in linear time over many repeats.
+    next_suffix: dict[str, int] = {}
     for key, val in parse_qsl(value, keep_blank_values=True):
-        if not _add_child(node, key, val, max_depth, budget):
+        segment, n = key, next_suffix.get(key, 2)
+        while segment in node.children:
+            segment = f"{key}#{n}"
+            n += 1
+        next_suffix[key] = n
+        if not _add_child(node, segment, val, max_depth, budget):
             break
 
 
 def _try_url(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bool:
     if not _is_absolute_http_url(value):
         return False
-    parts = urlsplit(value)
+    parts = split_url(value)
     node.decoding = NESTED_URL
     _add_child(node, "scheme", parts.scheme.lower(), max_depth, budget)
     _add_child(node, "host", parts.netloc, max_depth, budget)
@@ -303,7 +312,10 @@ def _try_base64(node: SparNode, value: str, max_depth: int, budget: _Budget) -> 
         return False
     if not text:
         return False
-    if not text.isprintable() and not _parses_as_json_container(text):
+    # short alphanumeric tokens often happen to decode to printable
+    # non-ASCII text ("04000400" -> "\u04cd4\u04cd4"); only JSON may carry it
+    if not (text.isascii() and text.isprintable()) \
+            and not _parses_as_json_container(text):
         return False
     node.decoding = label
     _add_child(node, "decoded", text, max_depth, budget)
@@ -323,7 +335,7 @@ def _parses_as_json_container(text: str) -> bool:
 def _is_absolute_http_url(value: str) -> bool:
     if not _ABS_URL.match(value) or any(c.isspace() for c in value):
         return False
-    parts = urlsplit(value)
+    parts = split_url(value)  # empty for e.g. "https://[abc/x"
     return parts.scheme.lower() in ("http", "https") and bool(parts.netloc)
 
 

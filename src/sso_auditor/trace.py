@@ -10,10 +10,11 @@ timestamps are assumed UTC.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
-from urllib.parse import parse_qsl, urljoin, urlsplit
+from urllib.parse import urljoin
 
+from .domains import registrable_domain, split_url, url_host
 from .exceptions import EntryError, MalformedInput, MissingMetadataField
 
 PROFILE_LOGIN_RUN = "login-run"
@@ -56,7 +57,6 @@ class HttpRequest:
     method: str
     url: str
     headers: tuple[tuple[str, str], ...] = ()
-    query_params: tuple[tuple[str, str], ...] = ()
     body: str | None = None
     body_mime: str | None = None
 
@@ -90,7 +90,6 @@ class HttpEntry:
     request: HttpRequest
     response: HttpResponse
     started_at: datetime
-    initiator: int | None = None
 
     @property
     def url(self) -> str:
@@ -189,7 +188,7 @@ def _parse_entry(index: int, raw: object) -> tuple[int, HttpEntry]:
     url = request.get("url")
     if not isinstance(url, str) or not url:
         raise EntryError(index, "request has no url")
-    parts = urlsplit(url)
+    parts = split_url(url)
     if not parts.scheme or not parts.netloc:
         raise EntryError(index, f"url is not absolute: {url!r}")
 
@@ -217,18 +216,16 @@ def _parse_entry(index: int, raw: object) -> tuple[int, HttpEntry]:
             if isinstance(redirect_url, str) and redirect_url:
                 location = redirect_url
         if location:
-            redirect_target = urljoin(url, location)
-
-    initiator = raw.get("_initiator_index")
-    if not isinstance(initiator, int):
-        initiator = None
+            try:
+                redirect_target = urljoin(url, location)
+            except ValueError:  # unsplittable, e.g. "https://[::1/x"
+                redirect_target = location
 
     entry = HttpEntry(
         request=HttpRequest(
             method=str(method),
             url=url,
             headers=req_headers,
-            query_params=tuple(parse_qsl(parts.query, keep_blank_values=True)),
             body=body,
             body_mime=body_mime,
         ),
@@ -241,7 +238,6 @@ def _parse_entry(index: int, raw: object) -> tuple[int, HttpEntry]:
             body_truncated=truncated,
         ),
         started_at=started_at,
-        initiator=initiator,
     )
     return index, entry
 
@@ -289,7 +285,6 @@ def _parse_content(raw: object) -> tuple[str | None, str | None, bool]:
 
 
 def _placeholder_metadata(entries: tuple[HttpEntry, ...]) -> TraceMetadata:
-    from .domains import registrable_domain, url_host
     if entries:
         first = entries[0]
         return TraceMetadata(
@@ -371,7 +366,7 @@ def _parse_ibc_list(raw: object) -> list[IbcEvent]:
 
 
 def _is_origin(value: str) -> bool:
-    parts = urlsplit(value)
+    parts = split_url(value)
     return parts.scheme in ("http", "https") and bool(parts.netloc) \
         and not parts.path and not parts.query and not parts.fragment
 
@@ -383,134 +378,3 @@ def parse_trace_bundle(har: bytes | str, metadata: bytes | str,
     if ibc is not None:
         trace = replace(trace, ibc_events=parse_ibc(ibc))
     return trace
-
-
-# ---------------------------------------------------------------------------
-# serialization (lossless for every field this model reads)
-
-def trace_to_dict(trace: Trace) -> dict:
-    meta = trace.metadata
-    return {
-        "metadata": {
-            "domain": meta.domain,
-            "idp": meta.idp_label,
-            "page_url": meta.page_url,
-            "captured_at": format_timestamp(meta.captured_at),
-            "profile_kind": meta.profile_kind,
-            "run_index": meta.run_index,
-        },
-        "entries": [
-            {
-                "request": {
-                    "method": e.request.method,
-                    "url": e.request.url,
-                    "headers": [list(h) for h in e.request.headers],
-                    "query_params": [list(q) for q in e.request.query_params],
-                    "body": e.request.body,
-                    "body_mime": e.request.body_mime,
-                },
-                "response": {
-                    "status": e.response.status,
-                    "headers": [list(h) for h in e.response.headers],
-                    "redirect_target": e.response.redirect_target,
-                    "body": e.response.body,
-                    "body_mime": e.response.body_mime,
-                    "body_truncated": e.response.body_truncated,
-                },
-                "started_at": format_timestamp(e.started_at),
-                "initiator": e.initiator,
-            }
-            for e in trace.entries
-        ],
-        "ibc_events": [
-            {
-                "kind": ev.kind,
-                "source_origin": ev.source_origin,
-                "target_origin": ev.target_origin,
-                "payload": ev.payload,
-                "at": format_timestamp(ev.at),
-            }
-            for ev in trace.ibc_events
-        ],
-    }
-
-
-def trace_from_dict(doc: dict) -> Trace:
-    meta = doc["metadata"]
-    metadata = TraceMetadata(
-        domain=meta["domain"],
-        page_url=meta["page_url"],
-        captured_at=parse_timestamp(meta["captured_at"]),
-        profile_kind=meta["profile_kind"],
-        run_index=meta["run_index"],
-        idp_label=meta.get("idp"),
-    )
-    entries = tuple(
-        HttpEntry(
-            request=HttpRequest(
-                method=e["request"]["method"],
-                url=e["request"]["url"],
-                headers=tuple(tuple(h) for h in e["request"]["headers"]),
-                query_params=tuple(tuple(q) for q in e["request"]["query_params"]),
-                body=e["request"]["body"],
-                body_mime=e["request"]["body_mime"],
-            ),
-            response=HttpResponse(
-                status=e["response"]["status"],
-                headers=tuple(tuple(h) for h in e["response"]["headers"]),
-                redirect_target=e["response"]["redirect_target"],
-                body=e["response"]["body"],
-                body_mime=e["response"]["body_mime"],
-                body_truncated=e["response"]["body_truncated"],
-            ),
-            started_at=parse_timestamp(e["started_at"]),
-            initiator=e["initiator"],
-        )
-        for e in doc["entries"]
-    )
-    events = tuple(
-        IbcEvent(
-            kind=ev["kind"],
-            source_origin=ev["source_origin"],
-            target_origin=ev["target_origin"],
-            payload=ev["payload"],
-            at=parse_timestamp(ev["at"]),
-        )
-        for ev in doc["ibc_events"]
-    )
-    return Trace(metadata=metadata, entries=entries, ibc_events=events)
-
-
-# ---------------------------------------------------------------------------
-# redirect chains
-
-def redirect_chain(trace: Trace, start: int) -> list[int]:
-    """Follow 3xx Location targets forward through the trace.
-
-    Matching is by URL equality against later entries only, so chains are
-    acyclic by construction.  The chain always contains ``start``.
-    """
-    if not 0 <= start < len(trace.entries):
-        raise IndexError(f"entry index out of range: {start}")
-    chain = [start]
-    current = start
-    while True:
-        target = trace.entries[current].response.redirect_target
-        if target is None:
-            break
-        follow = None
-        for idx in range(current + 1, len(trace.entries)):
-            if _urls_equal(trace.entries[idx].request.url, target):
-                follow = idx
-                break
-        if follow is None:
-            break
-        chain.append(follow)
-        current = follow
-    return chain
-
-
-def _urls_equal(a: str, b: str) -> bool:
-    if a == b:
-        return True
-    return a.split("#", 1)[0] == b.split("#", 1)[0]

@@ -1,5 +1,6 @@
 """Unit tests for report assembly, rendering, and the command line."""
 
+import hashlib
 import json
 import random
 
@@ -280,6 +281,62 @@ def test_report_render_subcommand(tmp_path, capsys, weak_pack):
     assert cli.main(["report", "render", str(stored),
                      "--format", "xml"]) == 1
     assert "format" in capsys.readouterr().err
+
+
+def test_fixture_pack_reports_are_pinned(fixture_pack, tmp_path):
+    # size and sha256 prefix of the canonical reports; a refactor that is
+    # meant to keep the output must keep these bytes
+    root, _ = fixture_pack
+    for fmt, size, digest in (("json", 17_928, "3db3104f0508e4d4"),
+                              ("markdown", 337, "d6e4df380b16c593")):
+        out = tmp_path / f"report.{fmt}"
+        assert cli.main(["analyze", str(root), "--format", fmt,
+                         "--out", str(out)]) == 2
+        data = out.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()[:16]) == \
+            (size, digest)
+
+
+@pytest.mark.parametrize("redirect_uri", ["https://shop.example:99999/cb",
+                                          "https://[::1/cb"])
+def test_analyze_survives_unsplittable_redirect_uri(tmp_path, capsys,
+                                                    redirect_uri):
+    root = tmp_path / "traces"
+    write_login_unit(root / "shop.example" / "google", "shop.example",
+                     LoginShape(redirect_uri=redirect_uri), seed=5)
+    assert cli.main(["analyze", str(root)]) in (0, 2)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (fragment,) = json.loads(captured.out)["security"]
+    assert len(fragment["logins"]) == 1
+
+
+_GOOD_RECORD = {"domain": "a.example", "idps": [{"idp": "google"}]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("render", b"not json {"),
+    ("render", b"[1, 2]"),
+    ("diff", json.dumps({"domain": "a.example",
+                         "idps": [{"method": "manual"}]}).encode()),
+    ("diff", b'{"domain": "a.example\xff"}\n'),
+    ("diff", json.dumps({"domain": "a.example", "idps": "google"}).encode()),
+], ids=["render-not-json", "render-not-object", "diff-idp-missing",
+        "diff-not-utf8", "diff-idps-not-list"])
+def test_malformed_input_gives_one_error_line(tmp_path, capsys, command,
+                                              payload):
+    bad = tmp_path / "bad"
+    bad.write_bytes(payload)
+    if command == "render":
+        argv = ["report", "render", str(bad)]
+    else:
+        good = tmp_path / "good.jsonl"
+        good.write_text(json.dumps(_GOOD_RECORD) + "\n")
+        argv = ["landscape", "diff", str(good), str(bad)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_bare_group_commands_fail(capsys):

@@ -185,6 +185,25 @@ def test_flow_mixup_on_visible_token_exchange():
     assert _rule_ids(findings) == ["flow.mixup"]
 
 
+def _token_endpoint_entry(url):
+    return har_entry(url, started_at="2026-01-17T12:00:05Z",
+                     body_text=json.dumps({"code": "c-1", "id": "42"}),
+                     body_mime="application/json")
+
+
+def test_flow_mixup_token_exchange_is_scoped_to_the_login_idp():
+    entries = synth_login_entries(random.Random(1), "shop.example",
+                                  LoginShape())
+    own = _token_endpoint_entry("https://oauth2.googleapis.com/token")
+    other = _token_endpoint_entry(
+        "https://graph.facebook.com/v19.0/1234/activities")
+
+    assert "flow.mixup" not in security.run_all(_trace(entries)).rule_ids()
+    assert "flow.mixup" not in security.run_all(
+        _trace(entries + [other])).rule_ids()
+    assert "flow.mixup" in security.run_all(_trace(entries + [own])).rule_ids()
+
+
 def test_no_mixup_when_flows_agree():
     request = _request(response_type="code", scope="openid")
     response = _response(code="c!")
@@ -431,6 +450,16 @@ def test_run_all_survives_a_crashing_rule(monkeypatch):
     assert finding.category == "potential-issue"
 
 
+@pytest.mark.parametrize("redirect_uri", ["https://shop.example:99999/cb",
+                                          "https://[::1/cb"])
+def test_run_all_survives_unsplittable_redirect_uri(redirect_uri):
+    analysis = security.run_all(
+        _login_trace(LoginShape(redirect_uri=redirect_uri)))
+    (login,) = analysis.logins
+    assert login.response_ref is None
+    assert "analyzer.error" not in analysis.rule_ids()
+
+
 def test_run_all_countermeasure_summary():
     analysis = security.run_all(_login_trace())
     (login,) = analysis.logins
@@ -457,8 +486,14 @@ def test_rule_catalog_covers_every_rule():
 
 
 def test_catalog_categories_match_emitted_findings():
-    categories = security.catalog_categories()
-    assert categories["csrf.missing"] == "vulnerability"
-    assert categories["secret.token-in-url"] == "potential-issue"
-    assert categories["idtoken.symmetric-alg"] == "vulnerability"
-    assert categories["flow.obsolete"] == "potential-issue"
+    def finding(rule_id):
+        return security.Finding(
+            rule_id=rule_id, idp="google", domain="shop.example",
+            evidence=(security.Evidence(0, "url", "x"),), message="m")
+
+    assert finding("csrf.missing").category == "vulnerability"
+    assert finding("secret.token-in-url").category == "potential-issue"
+    assert finding("idtoken.symmetric-alg").category == "vulnerability"
+    assert finding("flow.obsolete").category == "potential-issue"
+    for rule_id, rule in security.RULES.items():
+        assert finding(rule_id).category == rule["category"]

@@ -1,6 +1,7 @@
 """Frozen-example tests for the recursive parameter decoder."""
 
 import json
+import time
 
 import pytest
 
@@ -132,6 +133,15 @@ def test_base64_rejects_non_printable_and_bad_length():
     assert spar.decode("aGVsbG8gd29ybGQhe").is_leaf
 
 
+def test_base64_rejects_non_ascii_text_outside_json():
+    # valid base64 whose bytes are printable but non-ASCII UTF-8
+    assert spar.decode("04000400").is_leaf
+    encoded = spar.encode_base64(json.dumps({"k": "Ӎ"}, ensure_ascii=False))
+    tree = spar.decode(encoded)
+    assert tree.decoding == spar.BASE64
+    assert tree.children["decoded"].children["k"].raw == "Ӎ"
+
+
 def test_empty_and_blank_query_strings():
     assert spar.decode("").is_leaf
     # an empty query component has nothing to force apart
@@ -153,6 +163,22 @@ def test_duplicate_keys_get_distinct_segments():
     assert set(tree.children) == {"k", "k#2"}
     assert tree.children["k"].raw == "1"
     assert tree.children["k#2"].raw == "2"
+
+
+def test_duplicate_key_names_skip_literal_collisions():
+    tree = spar.decode_query_string("a=1&a=2&a#2=3&a=4")
+    assert list(tree.children) == ["a", "a#2", "a#2#2", "a#3"]
+    assert [child.raw for child in tree.children.values()] == \
+        ["1", "2", "3", "4"]
+
+
+def test_many_duplicate_keys_decode_in_linear_time():
+    value = "&".join(["a=1"] * 20_000)
+    started = time.perf_counter()
+    tree = spar.decode_query_string(value, max_nodes=50_000)
+    assert time.perf_counter() - started < 2.0
+    assert len(tree.children) == 20_000
+    assert "a#20000" in tree.children
 
 
 def test_form_key_charset_rejects_urls_as_forms():

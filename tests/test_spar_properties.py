@@ -9,7 +9,7 @@ another encoding.
 import string
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sso_auditor import spar
@@ -143,6 +143,8 @@ def test_budgets_hold_for_arbitrary_input(value, max_depth, max_nodes):
 
 @settings(max_examples=100, deadline=None)
 @given(st.text(max_size=300))
+@example("https://[abc/x")
+@example("a=http://[::1")
 def test_decode_never_raises(value):
     tree = spar.decode(value)
     assert tree.raw == value
