@@ -1,8 +1,14 @@
 """Find login requests and responses in a trace and classify the protocol.
 
+``decode_trace`` decodes each parameter surface of a trace once (an HTTP
+entry's query, fragment and body, an in-browser message's payload) under
+the run's SPAR budgets, indexes each tree by path segment, and extracts the
+protocol parameters.  Detection, response matching, the security rules and
+the privacy detectors all read this view instead of decoding again.
+
 Detection is parameter-driven: an HTTP entry or an in-browser message is a
-login request when its decoded parameter tree carries both ``client_id``
-and ``redirect_uri`` and either the destination matches a known identity
+login request when its decoded parameters carry both ``client_id`` and
+``redirect_uri`` and either the destination matches a known identity
 provider endpoint or, as a generic fallback, the request also names a
 ``response_type``.  Responses are matched by delivery to the request's
 ``redirect_uri`` (or the equivalent postMessage target origin) together
@@ -13,12 +19,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from . import spar
 from .domains import origin_of, split_url, url_host
 from .exceptions import MalformedInput, MalformedJwt
-from .trace import HttpEntry, IbcEvent, Trace
+from .trace import HttpEntry, Trace
 
 KIND_LOGIN_REQUEST = "login-request"
 KIND_LOGIN_RESPONSE = "login-response"
@@ -178,7 +183,7 @@ def load_registry(data: bytes | str) -> IdpRegistry:
     """Registry config: {"idps": [{"name", "authorization_patterns", "token_patterns"}]}"""
     try:
         doc = json.loads(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedInput(f"registry is not JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("idps"), list):
         raise MalformedInput("registry document needs an idps list")
@@ -195,60 +200,77 @@ def load_registry(data: bytes | str) -> IdpRegistry:
 
 
 # ---------------------------------------------------------------------------
-# parameter surfaces
+# the decoded view of a trace
 
+# "" is a body recorded without a MIME type
 _PARSED_BODY_MIMES = ("application/x-www-form-urlencoded", "application/json",
-                      "text/plain")
+                      "text/plain", "")
 
 
-def entry_param_trees(entry: HttpEntry, max_depth: int = spar.DEFAULT_MAX_DEPTH,
-                      max_nodes: int = spar.DEFAULT_MAX_NODES,
-                      ) -> list[tuple[str, spar.SparNode]]:
+@dataclass(frozen=True)
+class DecodedItem:
+    """One HTTP entry (query, fragment, body surfaces) or IBC event (payload):
+    the first hit per parameter name across its surfaces, in that order, and
+    the first surface carrying a token parameter, if any."""
+
+    surfaces: tuple[tuple[str, spar.SegmentIndex], ...]
+    params: SsoParams
+    locations: dict[str, ParamLocation]
+    token_channel: str | None
+
+
+@dataclass(frozen=True)
+class DecodedTrace:
+    """Items aligned with ``trace.entries`` and ``trace.ibc_events``."""
+
+    trace: Trace
+    entries: tuple[DecodedItem, ...]
+    ibc_events: tuple[DecodedItem, ...]
+
+
+def decode_trace(trace: Trace, max_depth: int = spar.DEFAULT_MAX_DEPTH,
+                 max_nodes: int = spar.DEFAULT_MAX_NODES) -> DecodedTrace:
+    """Decode every surface of ``trace`` once, under the given budgets."""
+    return DecodedTrace(
+        trace=trace,
+        entries=tuple(_decoded_item(_entry_trees(entry, max_depth, max_nodes))
+                      for entry in trace.entries),
+        ibc_events=tuple(
+            _decoded_item([(CHANNEL_POST_MESSAGE,
+                            spar.decode(event.payload, max_depth, max_nodes))])
+            for event in trace.ibc_events),
+    )
+
+
+def _entry_trees(entry: HttpEntry, max_depth: int, max_nodes: int,
+                 ) -> list[tuple[str, spar.SparNode]]:
     """Decoded parameter surfaces of a request: query, fragment, body."""
     parts = split_url(entry.request.url)
-    trees = []
-    if parts.query:
-        trees.append((CHANNEL_QUERY,
-                      spar.decode_query_string(parts.query, max_depth, max_nodes)))
-    if parts.fragment:
-        frag = parts.fragment
-        if "=" in frag:
-            trees.append((CHANNEL_FRAGMENT,
-                          spar.decode_query_string(frag, max_depth, max_nodes)))
-        else:
-            trees.append((CHANNEL_FRAGMENT, spar.decode(frag, max_depth, max_nodes)))
-    body = entry.request.body
-    if body:
-        mime = (entry.request.body_mime or "").split(";")[0].strip().lower()
-        if mime in _PARSED_BODY_MIMES or not mime:
-            if mime == "application/x-www-form-urlencoded":
-                trees.append((CHANNEL_BODY,
-                              spar.decode_query_string(body, max_depth, max_nodes)))
-            else:
-                trees.append((CHANNEL_BODY, spar.decode(body, max_depth, max_nodes)))
-    return trees
+    mime = (entry.request.body_mime or "").split(";")[0].strip().lower()
+    body = entry.request.body if mime in _PARSED_BODY_MIMES else None
+    # (channel, value, decode as a query string even without codec evidence)
+    surfaces = ((CHANNEL_QUERY, parts.query, True),
+                (CHANNEL_FRAGMENT, parts.fragment, "=" in parts.fragment),
+                (CHANNEL_BODY, body, mime == "application/x-www-form-urlencoded"))
+    return [(channel, (spar.decode_query_string if as_query else spar.decode)(
+                value, max_depth, max_nodes))
+            for channel, value, as_query in surfaces if value]
 
 
-def ibc_param_tree(event: IbcEvent, max_depth: int = spar.DEFAULT_MAX_DEPTH,
-                   max_nodes: int = spar.DEFAULT_MAX_NODES) -> spar.SparNode:
-    return spar.decode(event.payload, max_depth, max_nodes)
-
-
-def extract_params(trees: Iterable[tuple[str, spar.SparNode]],
-                   ) -> tuple[SsoParams, dict[str, ParamLocation]]:
-    """First match per parameter name across the given trees, in order."""
+def _decoded_item(trees: list[tuple[str, spar.SparNode]]) -> DecodedItem:
+    surfaces = tuple((channel, spar.index(tree)) for channel, tree in trees)
     values: dict[str, str] = {}
     locations: dict[str, ParamLocation] = {}
-    for channel, tree in trees:
+    token_channel = None
+    for channel, hits in surfaces:
         for name in _PARAM_NAMES:
-            if name in values:
-                continue
-            hits = spar.search(tree, name)
-            if hits:
-                path, node = hits[0]
+            if name in hits and name not in values:
+                path, node = hits[name][0]
                 values[name] = node.raw
                 locations[name] = ParamLocation(channel=channel, path=path,
                                                 value=node.raw)
+        if token_channel is None and any(name in hits for name in TOKEN_PARAMS):
+            token_channel = channel
     at_hash = None
     id_token = values.get("id_token")
     if id_token:
@@ -259,43 +281,36 @@ def extract_params(trees: Iterable[tuple[str, spar.SparNode]],
         raw = payload.get("at_hash")
         if isinstance(raw, str):
             at_hash = raw
-    return SsoParams(**values, at_hash=at_hash), locations
+    return DecodedItem(surfaces=surfaces,
+                       params=SsoParams(**values, at_hash=at_hash),
+                       locations=locations, token_channel=token_channel)
 
 
 # ---------------------------------------------------------------------------
 # login request / response detection
 
-def detect_login_requests(trace: Trace, registry: IdpRegistry | None = None,
+def detect_login_requests(view: DecodedTrace,
+                          registry: IdpRegistry | None = None,
                           ) -> list[SsoMessage]:
     registry = registry or default_registry()
+    trace = view.trace
     messages: list[SsoMessage] = []
-    for index, entry in enumerate(trace.entries):
-        trees = entry_param_trees(entry)
-        params, locations = extract_params(trees)
-        if not (params.client_id and params.redirect_uri):
-            continue
-        idp = registry.match_authorization(entry.request.url)
-        if idp is None and params.response_type is None:
-            continue
-        channel = locations["client_id"].channel
-        messages.append(SsoMessage(
-            kind=KIND_LOGIN_REQUEST, entry_ref=index, ref_kind=REF_ENTRY,
-            channel=channel, idp=idp or UNKNOWN_IDP, params=params,
-            locations=locations,
-        ))
-    for index, event in enumerate(trace.ibc_events):
-        tree = ibc_param_tree(event)
-        params, locations = extract_params([(CHANNEL_POST_MESSAGE, tree)])
-        if not (params.client_id and params.redirect_uri):
-            continue
-        idp = registry.match_origin(event.target_origin)
-        if idp is None and params.response_type is None:
-            continue
-        messages.append(SsoMessage(
-            kind=KIND_LOGIN_REQUEST, entry_ref=index, ref_kind=REF_IBC,
-            channel=CHANNEL_POST_MESSAGE, idp=idp or UNKNOWN_IDP, params=params,
-            locations=locations,
-        ))
+    for ref_kind, items in ((REF_ENTRY, view.entries), (REF_IBC, view.ibc_events)):
+        for index, item in enumerate(items):
+            params = item.params
+            if not (params.client_id and params.redirect_uri):
+                continue
+            if ref_kind == REF_ENTRY:
+                idp = registry.match_authorization(trace.entries[index].request.url)
+            else:
+                idp = registry.match_origin(trace.ibc_events[index].target_origin)
+            if idp is None and params.response_type is None:
+                continue
+            messages.append(SsoMessage(
+                kind=KIND_LOGIN_REQUEST, entry_ref=index, ref_kind=ref_kind,
+                channel=item.locations["client_id"].channel,
+                idp=idp or UNKNOWN_IDP, params=params, locations=item.locations,
+            ))
     return messages
 
 
@@ -330,69 +345,49 @@ def _entry_time(trace: Trace, msg: SsoMessage):
     return trace.ibc_events[msg.entry_ref].at
 
 
-def match_login_response(trace: Trace, request: SsoMessage) -> SsoMessage | None:
+def match_login_response(view: DecodedTrace, request: SsoMessage,
+                         ) -> SsoMessage | None:
     """First later delivery of a token to the request's redirect_uri."""
     redirect_uri = request.params.redirect_uri
     if not redirect_uri:
         return None
+    trace = view.trace
     prefix = _redirect_prefix(redirect_uri)
     target_origin = origin_of(redirect_uri)
     req_time = _entry_time(trace, request)
 
-    candidates: list[tuple[object, int, SsoMessage]] = []
-
+    candidates: list[tuple[object, int, int, str]] = []
     start_index = request.entry_ref + 1 if request.ref_kind == REF_ENTRY else 0
     for index in range(start_index, len(trace.entries)):
         entry = trace.entries[index]
-        if entry.started_at < req_time:
+        if entry.started_at < req_time \
+                or not _url_prefix_match(entry.request.url, prefix) \
+                or view.entries[index].token_channel is None:
             continue
-        if not _url_prefix_match(entry.request.url, prefix):
-            continue
-        trees = entry_param_trees(entry)
-        hit = _token_channel(trees)
-        if hit is None:
-            continue
-        channel, _ = hit
-        params, locations = extract_params(trees)
-        candidates.append((entry.started_at, 0, SsoMessage(
-            kind=KIND_LOGIN_RESPONSE, entry_ref=index, ref_kind=REF_ENTRY,
-            channel=channel, idp=request.idp, params=params, locations=locations,
-        )))
+        candidates.append((entry.started_at, 0, index, REF_ENTRY))
     ibc_start = request.entry_ref + 1 if request.ref_kind == REF_IBC else 0
     for index in range(ibc_start, len(trace.ibc_events)):
         event = trace.ibc_events[index]
-        if event.at < req_time:
+        if event.at < req_time \
+                or event.target_origin not in ("*", target_origin) \
+                or view.ibc_events[index].token_channel is None:
             continue
-        if event.target_origin not in ("*", target_origin):
-            continue
-        tree = ibc_param_tree(event)
-        if not any(spar.search(tree, name) for name in TOKEN_PARAMS):
-            continue
-        params, locations = extract_params([(CHANNEL_POST_MESSAGE, tree)])
-        candidates.append((event.at, 1, SsoMessage(
-            kind=KIND_LOGIN_RESPONSE, entry_ref=index, ref_kind=REF_IBC,
-            channel=CHANNEL_POST_MESSAGE, idp=request.idp, params=params,
-            locations=locations,
-        )))
+        candidates.append((event.at, 1, index, REF_IBC))
     if not candidates:
         return None
-    candidates.sort(key=lambda item: (item[0], item[1]))
-    return candidates[0][2]
+    _, _, index, ref_kind = min(candidates, key=lambda item: item[:2])
+    item = (view.entries if ref_kind == REF_ENTRY else view.ibc_events)[index]
+    return SsoMessage(
+        kind=KIND_LOGIN_RESPONSE, entry_ref=index, ref_kind=ref_kind,
+        channel=item.token_channel, idp=request.idp, params=item.params,
+        locations=item.locations,
+    )
 
 
 def _url_prefix_match(url: str, prefix: str) -> bool:
     parts = split_url(url)
     normalized = f"{parts.scheme.lower()}://{(parts.netloc or '').lower()}{parts.path}"
     return normalized.startswith(prefix)
-
-
-def _token_channel(trees: list[tuple[str, spar.SparNode]]
-                   ) -> tuple[str, str] | None:
-    for channel, tree in trees:
-        for name in TOKEN_PARAMS:
-            if spar.search(tree, name):
-                return channel, name
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ from . import landscape as landscape_mod
 from . import privacy as privacy_mod
 from . import report as report_mod
 from . import security, spar
-from .classify import IdpRegistry, default_registry, load_registry
+from .classify import IdpRegistry, decode_trace, default_registry, load_registry
 from .exceptions import AuditError, MalformedInput
 from .trace import (
     PROFILE_CONSENT_VISIT, PROFILE_NO_CONSENT_VISIT, Trace, parse_trace_bundle,
@@ -133,19 +134,25 @@ def _load_config(args) -> tuple[security.RuleConfig, IdpRegistry, str]:
     if config_path:
         try:
             doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedInput(f"config file is not JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise MalformedInput("config file must hold a JSON object")
 
     entropy = args.entropy_bits if getattr(args, "entropy_bits", None) is not None \
         else doc.get("entropy_threshold_bits", 96.0)
+    if isinstance(entropy, bool) or not isinstance(entropy, (int, float)) \
+            or not math.isfinite(entropy):
+        raise MalformedInput(f"entropy_threshold_bits must be a finite number, "
+                             f"got {entropy!r}")
     cfg = security.RuleConfig(
         entropy_threshold_bits=float(entropy),
         treat_pkce_as_csrf_protection=bool(
             doc.get("treat_pkce_as_csrf_protection", True)),
-        max_spar_depth=int(doc.get("max_spar_depth", spar.DEFAULT_MAX_DEPTH)),
-        max_spar_nodes=int(doc.get("max_spar_nodes", spar.DEFAULT_MAX_NODES)),
+        max_spar_depth=_budget("max_spar_depth", doc.get(
+            "max_spar_depth", spar.DEFAULT_MAX_DEPTH)),
+        max_spar_nodes=_budget("max_spar_nodes", doc.get(
+            "max_spar_nodes", spar.DEFAULT_MAX_NODES)),
     )
 
     registry_path = getattr(args, "idp_registry", None) or doc.get("idp_registry")
@@ -156,6 +163,13 @@ def _load_config(args) -> tuple[security.RuleConfig, IdpRegistry, str]:
         registry = default_registry()
         source = "built-in"
     return cfg, registry, source
+
+
+def _budget(name: str, value: object) -> int:
+    """A SPAR depth or node budget: an integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise MalformedInput(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +232,9 @@ def _cmd_privacy(args) -> int:
                 continue
             trace = _read_bundle(bundle_dir)
             captured.append(trace.metadata.captured_at)
-            findings.extend(privacy_mod.detect_lal(trace, registry))
-            findings.extend(privacy_mod.detect_tel(trace, registry))
+            view = decode_trace(trace, cfg.max_spar_depth, cfg.max_spar_nodes)
+            findings.extend(privacy_mod.detect_lal(view, registry))
+            findings.extend(privacy_mod.detect_tel(view, registry))
 
     table = privacy_mod.aggregate_privacy(findings)
     table["findings"] = [f.to_dict() for f in findings]
@@ -231,7 +246,8 @@ def _cmd_privacy(args) -> int:
 
 
 def _cmd_spar(args) -> int:
-    tree = spar.decode(args.value, args.max_depth, args.max_nodes)
+    tree = spar.decode(args.value, _budget("--max-depth", args.max_depth),
+                       _budget("--max-nodes", args.max_nodes))
     print(tree.to_json())
     return EXIT_OK
 
@@ -257,11 +273,16 @@ def _cmd_landscape_queries(args) -> int:
 def _cmd_report_render(args) -> int:
     try:
         doc = json.loads(Path(args.report_file).read_text(encoding="utf-8"))
-    except ValueError as exc:  # also covers UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # and UnicodeDecodeError
         raise MalformedInput(f"report file is not JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedInput("report file must hold a JSON object")
-    text = report_mod.render_report(doc, args.format)
+    try:
+        text = report_mod.render_report(doc, args.format)
+    except (AttributeError, TypeError) as exc:
+        # parts that are not the objects and lists the renderers read
+        raise MalformedInput(f"report file does not have the report "
+                             f"shape: {exc}") from exc
     _emit(text, getattr(args, "out", None))
     return EXIT_OK
 

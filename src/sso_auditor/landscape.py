@@ -115,7 +115,7 @@ class KeywordConfig:
     def from_json(cls, data: bytes | str) -> "KeywordConfig":
         try:
             doc = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedInput(f"keyword config is not JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise MalformedInput("keyword config must be a JSON object")
@@ -321,7 +321,7 @@ def load_scan_records(data: bytes | str) -> list[ScanRecord]:
             continue
         try:
             doc = json.loads(line)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MalformedInput(f"line {line_no} is not JSON: {exc}") from exc
         records.append(ScanRecord.from_dict(doc))
     return records

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import classify, spar
-from .classify import IdpRegistry, SsoMessage, default_registry
+from . import classify
+from .classify import DecodedTrace, IdpRegistry, default_registry
 from .exceptions import ProfileMismatch
 from .trace import PROFILE_LOGIN_RUN, Trace
 
@@ -66,12 +66,13 @@ def _require_visit_trace(trace: Trace, analysis: str) -> None:
             f"{analysis} applies to visit traces, not login runs")
 
 
-def detect_lal(trace: Trace, registry: IdpRegistry | None = None,
+def detect_lal(view: DecodedTrace, registry: IdpRegistry | None = None,
                ) -> list[PrivacyFinding]:
     """One finding per identity provider that received a login request."""
+    trace = view.trace
     _require_visit_trace(trace, "login attempt leak detection")
     registry = registry or default_registry()
-    messages = classify.detect_login_requests(trace, registry)
+    messages = classify.detect_login_requests(view, registry)
     findings = []
     seen: set[str] = set()
     for msg in messages:
@@ -92,17 +93,18 @@ def detect_lal(trace: Trace, registry: IdpRegistry | None = None,
     return findings
 
 
-def detect_tel(trace: Trace, registry: IdpRegistry | None = None,
+def detect_tel(view: DecodedTrace, registry: IdpRegistry | None = None,
                ) -> list[PrivacyFinding]:
     """One finding per login response that delivered a token on a visit."""
+    trace = view.trace
     _require_visit_trace(trace, "token exchange leak detection")
     registry = registry or default_registry()
     messages = classify.dedupe_login_requests(
-        classify.detect_login_requests(trace, registry))
+        classify.detect_login_requests(view, registry))
     findings = []
     matched_refs: set[tuple[str, int]] = set()
     for msg in messages:
-        response = classify.match_login_response(trace, msg)
+        response = classify.match_login_response(view, msg)
         if response is None:
             continue
         matched_refs.add((response.ref_kind, response.entry_ref))
@@ -118,10 +120,8 @@ def detect_tel(trace: Trace, registry: IdpRegistry | None = None,
     # token deliveries with no causally earlier login request: flag them for
     # manual review instead of dropping them
     for index, event in enumerate(trace.ibc_events):
-        if (classify.REF_IBC, index) in matched_refs:
-            continue
-        tree = classify.ibc_param_tree(event)
-        if not any(spar.search(tree, name) for name in classify.TOKEN_PARAMS):
+        if (classify.REF_IBC, index) in matched_refs \
+                or view.ibc_events[index].token_channel is None:
             continue
         idp = registry.match_origin(event.source_origin) or classify.UNKNOWN_IDP
         findings.append(PrivacyFinding(

@@ -1,9 +1,10 @@
 """Passive security checks over recorded login runs.
 
-Every check reads the trace and the reconstructed SSO messages; nothing is
-ever replayed or probed.  Findings carry a stable rule_id, a category
-(vulnerability or potential-issue), and non-empty evidence pointing back
-into the trace.
+Every check reads the trace, its decoded view (``classify.decode_trace``,
+built once per run under the configured SPAR budgets) and the reconstructed
+SSO messages; nothing is ever replayed or probed.  Findings carry a stable
+rule_id, a category (vulnerability or potential-issue), and non-empty
+evidence pointing back into the trace.
 
 Scoping decisions that matter for interpretation:
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from importlib import resources
 
 from . import classify, spar
-from .classify import IdpRegistry, SsoMessage, default_registry
+from .classify import DecodedTrace, IdpRegistry, SsoMessage, default_registry
 from .domains import is_loopback_host, registrable_domain, split_url, url_host
 from .exceptions import MalformedJwt, ProfileMismatch
 from .trace import PROFILE_LOGIN_RUN, Trace
@@ -412,29 +413,24 @@ def check_id_token_alg(response: SsoMessage | None) -> list[Finding]:
 # ---------------------------------------------------------------------------
 # trace-level rules
 
-def check_secret_leakage(trace: Trace, messages: list[SsoMessage],
+def check_secret_leakage(view: DecodedTrace, messages: list[SsoMessage],
                          cfg: RuleConfig | None = None) -> list[Finding]:
     cfg = cfg or RuleConfig()
+    trace = view.trace
     domain = trace.metadata.domain
     idp = _primary_idp(trace, messages)
     findings = []
 
-    secret_evidence = []
-    for index, entry in enumerate(trace.entries):
-        for channel, tree in _front_channel_trees(entry, cfg):
-            for path, node in spar.search(tree, "client_secret"):
-                secret_evidence.append(Evidence(
-                    entry_index=index,
-                    spar_path=f"{channel}:{spar.render_path(path)}",
-                    excerpt=node.raw))
-    for index, event in enumerate(trace.ibc_events):
-        tree = classify.ibc_param_tree(event, cfg.max_spar_depth,
-                                       cfg.max_spar_nodes)
-        for path, node in spar.search(tree, "client_secret"):
-            secret_evidence.append(Evidence(
-                entry_index=index,
-                spar_path=f"{classify.CHANNEL_POST_MESSAGE}:{spar.render_path(path)}",
-                excerpt=node.raw))
+    # bodies are not browser-visible URLs; IBC payloads are front channel
+    secret_evidence = [
+        Evidence(entry_index=index,
+                 spar_path=f"{channel}:{spar.render_path(path)}",
+                 excerpt=node.raw)
+        for items in (view.entries, view.ibc_events)
+        for index, item in enumerate(items)
+        for channel, hits in item.surfaces if channel != classify.CHANNEL_BODY
+        for path, node in hits.get("client_secret", ())
+    ]
     if secret_evidence:
         findings.append(Finding(
             rule_id=RULE_SECRET_FC, idp=idp, domain=domain,
@@ -453,16 +449,12 @@ def check_secret_leakage(trace: Trace, messages: list[SsoMessage],
         dest_site = registrable_domain(url_host(entry.request.url))
         if dest_site == client_site or dest_site in idp_sites:
             continue
-        tree = spar.decode(referer, cfg.max_spar_depth, cfg.max_spar_nodes)
-        for token_name in classify.TOKEN_PARAMS:
-            hits = spar.search(tree, token_name)
-            if hits:
-                path, node = hits[0]
-                referer_evidence.append(Evidence(
-                    entry_index=index,
-                    spar_path=f"referer:{spar.render_path(path)}",
-                    excerpt=referer))
-                break
+        path = _first_token_path(spar.index(
+            spar.decode(referer, cfg.max_spar_depth, cfg.max_spar_nodes)))
+        if path is not None:
+            referer_evidence.append(Evidence(
+                entry_index=index, spar_path=f"referer:{spar.render_path(path)}",
+                excerpt=referer))
     if referer_evidence:
         findings.append(Finding(
             rule_id=RULE_REFERER_LEAK, idp=idp, domain=domain,
@@ -472,21 +464,14 @@ def check_secret_leakage(trace: Trace, messages: list[SsoMessage],
         ))
 
     url_evidence = []
-    for index, entry in enumerate(trace.entries):
-        query = split_url(entry.request.url).query
-        if not query:
-            continue
-        tree = spar.decode_query_string(query, cfg.max_spar_depth,
-                                        cfg.max_spar_nodes)
-        for token_name in classify.TOKEN_PARAMS:
-            hits = spar.search(tree, token_name)
-            if hits:
-                path, node = hits[0]
-                url_evidence.append(Evidence(
-                    entry_index=index,
-                    spar_path=f"{classify.CHANNEL_QUERY}:{spar.render_path(path)}",
-                    excerpt=entry.request.url))
-                break
+    for index, item in enumerate(view.entries):
+        query = dict(item.surfaces).get(classify.CHANNEL_QUERY, {})
+        path = _first_token_path(query)
+        if path is not None:
+            url_evidence.append(Evidence(
+                entry_index=index,
+                spar_path=f"{classify.CHANNEL_QUERY}:{spar.render_path(path)}",
+                excerpt=trace.entries[index].request.url))
     if url_evidence:
         findings.append(Finding(
             rule_id=RULE_TOKEN_IN_URL, idp=idp, domain=domain,
@@ -497,22 +482,12 @@ def check_secret_leakage(trace: Trace, messages: list[SsoMessage],
     return findings
 
 
-def _front_channel_trees(entry, cfg: RuleConfig):
-    """Query and fragment surfaces only; bodies are not browser-visible URLs."""
-    parts = split_url(entry.request.url)
-    if parts.query:
-        yield (classify.CHANNEL_QUERY,
-               spar.decode_query_string(parts.query, cfg.max_spar_depth,
-                                        cfg.max_spar_nodes))
-    if parts.fragment:
-        frag = parts.fragment
-        if "=" in frag:
-            yield (classify.CHANNEL_FRAGMENT,
-                   spar.decode_query_string(frag, cfg.max_spar_depth,
-                                            cfg.max_spar_nodes))
-        else:
-            yield (classify.CHANNEL_FRAGMENT,
-                   spar.decode(frag, cfg.max_spar_depth, cfg.max_spar_nodes))
+def _first_token_path(hits: spar.SegmentIndex) -> spar.Path | None:
+    """Path of the first hit of the first token parameter present."""
+    for name in classify.TOKEN_PARAMS:
+        if name in hits:
+            return hits[name][0][0]
+    return None
 
 
 def check_transport(trace: Trace, messages: list[SsoMessage],
@@ -550,17 +525,11 @@ def check_transport(trace: Trace, messages: list[SsoMessage],
         if entry.response.status != 307 or not entry.response.redirect_target:
             continue
         target = entry.response.redirect_target
-        target_parts = split_url(target)
-        token_hit = False
-        for component in (target_parts.query, target_parts.fragment):
-            if not component:
-                continue
-            tree = spar.decode_query_string(component, cfg.max_spar_depth,
-                                            cfg.max_spar_nodes)
-            if any(spar.search(tree, name) for name in classify.TOKEN_PARAMS):
-                token_hit = True
-                break
-        if token_hit:
+        parts = split_url(target)
+        indexes = (spar.index(spar.decode_query_string(
+                       component, cfg.max_spar_depth, cfg.max_spar_nodes))
+                   for component in (parts.query, parts.fragment) if component)
+        if any(_first_token_path(hits) is not None for hits in indexes):
             findings.append(Finding(
                 rule_id=RULE_307_RESPONSE, idp=idp, domain=domain,
                 evidence=(Evidence(entry_index=index, spar_path="location",
@@ -650,10 +619,13 @@ def run_all(run1: Trace, run2: Trace | None = None,
                 f"security rules need login-run traces, got "
                 f"{trace.metadata.profile_kind}")
 
+    view1 = classify.decode_trace(run1, cfg.max_spar_depth, cfg.max_spar_nodes)
+    view2 = (classify.decode_trace(run2, cfg.max_spar_depth, cfg.max_spar_nodes)
+             if run2 is not None else None)
     messages1 = classify.dedupe_login_requests(
-        classify.detect_login_requests(run1, registry))
+        classify.detect_login_requests(view1, registry))
     messages2 = classify.dedupe_login_requests(
-        classify.detect_login_requests(run2, registry)) if run2 else []
+        classify.detect_login_requests(view2, registry)) if view2 else []
     paired = classify.pair_runs(messages1, messages2)
 
     analysis = SecurityAnalysis(
@@ -663,8 +635,8 @@ def run_all(run1: Trace, run2: Trace | None = None,
     findings: list[Finding] = []
 
     for request, request2 in paired:
-        response = match_or_none(run1, request)
-        response2 = match_or_none(run2, request2) if run2 and request2 else None
+        response = match_or_none(view1, request)
+        response2 = match_or_none(view2, request2)
         pair = LoginPair(request=request, response=response,
                          request2=request2, response2=response2)
         token_visible = _visible_token_exchange(run1, registry, request)
@@ -707,7 +679,7 @@ def run_all(run1: Trace, run2: Trace | None = None,
             response_channel=response.channel if response else None,
         ))
 
-    findings.extend(check_secret_leakage(run1, messages1, cfg))
+    findings.extend(check_secret_leakage(view1, messages1, cfg))
     findings.extend(check_transport(run1, messages1, cfg))
 
     domain = run1.metadata.domain
@@ -718,11 +690,11 @@ def run_all(run1: Trace, run2: Trace | None = None,
     return analysis
 
 
-def match_or_none(trace: Trace | None, request: SsoMessage | None,
-                  ) -> SsoMessage | None:
-    if trace is None or request is None:
+def match_or_none(view: DecodedTrace | None,
+                  request: SsoMessage | None) -> SsoMessage | None:
+    if view is None or request is None:
         return None
-    return classify.match_login_response(trace, request)
+    return classify.match_login_response(view, request)
 
 
 def _visible_token_exchange(trace: Trace, registry: IdpRegistry,
@@ -739,7 +711,7 @@ def _visible_token_exchange(trace: Trace, registry: IdpRegistry,
             continue
         try:
             doc = json.loads(body)
-        except ValueError:
+        except (ValueError, RecursionError):
             continue
         if not isinstance(doc, dict):
             continue

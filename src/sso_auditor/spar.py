@@ -19,8 +19,9 @@ is fixed so that the same input always yields the same tree:
                 the decoded bytes are printable ASCII or a UTF-8 JSON
                 container
 
-Stops are silent: depth and node budgets truncate the tree, they never
-raise.  A node is a leaf exactly when it has no children.
+Stops are silent: depth and node budgets truncate the tree, and JSON nested
+too deeply to load stays a leaf; none of them raises.  A node is a leaf
+exactly when it has no children.
 """
 
 from __future__ import annotations
@@ -46,11 +47,6 @@ BASE64 = "base64"
 BASE64URL = "base64url"
 NESTED_URL = "nested-url"
 
-DECODINGS = frozenset({
-    LEAF, PERCENT, WWW_FORM, QUERY_STRING, JSON_DOC, JWT, BASE64, BASE64URL,
-    NESTED_URL,
-})
-
 DEFAULT_MAX_DEPTH = 8
 DEFAULT_MAX_NODES = 10_000
 
@@ -60,7 +56,7 @@ _B64URL_SEGMENT = re.compile(r"[A-Za-z0-9_-]+={0,2}")
 _B64_STD = re.compile(r"[A-Za-z0-9+/]+={0,2}")
 _B64_URL = re.compile(r"[A-Za-z0-9_-]+={0,2}")
 # Keys a form pair may use.  Deliberately narrow: misreading a URL or a JWT
-# as a form creates false structure that search() would then report.
+# as a form creates false structure that index() would then report.
 _FORM_KEY = re.compile(r"[A-Za-z0-9_.%+~\[\]-]+")
 _ABS_URL = re.compile(r"https?://", re.IGNORECASE)
 
@@ -170,7 +166,7 @@ def _try_jwt(node: SparNode, value: str, max_depth: int, budget: _Budget) -> boo
         return False
     try:
         header = json.loads(header_text)
-    except ValueError:
+    except (ValueError, RecursionError):
         return False
     if not isinstance(header, dict) or "alg" not in header:
         return False
@@ -194,7 +190,7 @@ def _try_json(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bo
         return False
     try:
         doc = json.loads(stripped)
-    except ValueError:
+    except (ValueError, RecursionError):
         return False
     if not isinstance(doc, (dict, list)) or not doc:
         return False
@@ -328,7 +324,7 @@ def _parses_as_json_container(text: str) -> bool:
         return False
     try:
         return isinstance(json.loads(stripped), (dict, list))
-    except ValueError:
+    except (ValueError, RecursionError):
         return False
 
 
@@ -360,10 +356,20 @@ def walk(tree: SparNode) -> Iterator[tuple[Path, SparNode]]:
                                for seg, child in node.children.items()]))
 
 
-def search(tree: SparNode, key: str) -> list[tuple[Path, SparNode]]:
-    """All nodes whose final path segment equals ``key`` (case-sensitive)."""
-    return [(path, node) for path, node in walk(tree)
-            if path and path[-1] == key]
+SegmentIndex = dict[str, list[tuple[Path, SparNode]]]
+
+
+def index(tree: SparNode) -> SegmentIndex:
+    """Final path segment -> every (path, node) ending in it, in preorder.
+
+    One walk answers every later lookup by segment name (case-sensitive);
+    the first hit for a name is its first occurrence in preorder.
+    """
+    hits: SegmentIndex = {}
+    for path, node in walk(tree):
+        if path:
+            hits.setdefault(path[-1], []).append((path, node))
+    return hits
 
 
 def find_nested_urls(tree: SparNode) -> list[tuple[Path, str]]:
@@ -407,7 +413,7 @@ def jwt_parts(token: str) -> tuple[dict, dict, str]:
     try:
         header = json.loads(header_text)
         payload = json.loads(payload_text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedJwt(f"header or payload is not JSON: {exc}") from exc
     if not isinstance(header, dict) or "alg" not in header:
         raise MalformedJwt("header is not a JSON object with an alg claim")

@@ -173,7 +173,7 @@ def _load_json(data: bytes | str) -> object:
             raise MalformedInput(f"input is not UTF-8: {exc}") from exc
     try:
         return json.loads(data)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise MalformedInput(f"input is not JSON: {exc}") from exc
 
 

@@ -338,9 +338,9 @@ def test_privacy_profile_gating(tmp_path):
     def bundle(name):
         d = unit / name
         ibc_path = d / "ibc.json"
-        return parse_trace_bundle(
+        return classify.decode_trace(parse_trace_bundle(
             (d / "trace.har").read_bytes(), (d / "meta.json").read_bytes(),
-            ibc_path.read_bytes() if ibc_path.is_file() else None)
+            ibc_path.read_bytes() if ibc_path.is_file() else None))
 
     noconsent = bundle("noconsent")
     lal = privacy.detect_lal(noconsent)
@@ -354,7 +354,8 @@ def test_privacy_profile_gating(tmp_path):
 
     login_har = json.dumps(build_har([har_entry("https://a.example/")]))
     login_meta = json.dumps(build_meta("a.example"))  # login-run profile
-    login_trace = parse_trace_bundle(login_har.encode(), login_meta.encode())
+    login_trace = classify.decode_trace(
+        parse_trace_bundle(login_har.encode(), login_meta.encode()))
     with pytest.raises(ProfileMismatch):
         privacy.detect_lal(login_trace)
     with pytest.raises(ProfileMismatch):

@@ -28,7 +28,7 @@ def _login_trace(shape=LoginShape(), seed=1, domain="shop.example"):
 
 def test_detect_login_request_on_idp_endpoint():
     trace = _login_trace()
-    messages = classify.detect_login_requests(trace)
+    messages = classify.detect_login_requests(classify.decode_trace(trace))
     assert len(messages) == 1
     msg = messages[0]
     assert msg.kind == classify.KIND_LOGIN_REQUEST
@@ -46,7 +46,7 @@ def test_detect_unknown_idp_via_response_type_fallback():
         ("response_type", "code"),
     ]))
     trace = _trace([har_entry(url)])
-    messages = classify.detect_login_requests(trace)
+    messages = classify.detect_login_requests(classify.decode_trace(trace))
     assert len(messages) == 1
     assert messages[0].idp == classify.UNKNOWN_IDP
 
@@ -57,13 +57,13 @@ def test_unknown_endpoint_without_response_type_is_ignored():
         ("redirect_uri", "https://shop.example/cb"),
     ]))
     trace = _trace([har_entry(url)])
-    assert classify.detect_login_requests(trace) == []
+    assert classify.detect_login_requests(classify.decode_trace(trace)) == []
 
 
 def test_detect_request_with_percent_encoded_redirect_uri():
     # encode_form percent-encodes the URI; detection must see it decoded
     trace = _login_trace()
-    (msg,) = classify.detect_login_requests(trace)
+    (msg,) = classify.detect_login_requests(classify.decode_trace(trace))
     assert "%3A" not in msg.params.redirect_uri
 
 
@@ -80,7 +80,7 @@ def test_detect_request_in_post_message():
         }),
     }
     trace = _trace([har_entry("https://shop.example/")], ibc=[event])
-    (msg,) = classify.detect_login_requests(trace)
+    (msg,) = classify.detect_login_requests(classify.decode_trace(trace))
     assert msg.ref_kind == classify.REF_IBC
     assert msg.channel == classify.CHANNEL_POST_MESSAGE
     assert msg.idp == "Google"
@@ -88,7 +88,7 @@ def test_detect_request_in_post_message():
 
 def test_dedupe_keeps_first_request_per_destination():
     trace = _login_trace()
-    messages = classify.detect_login_requests(trace)
+    messages = classify.detect_login_requests(classify.decode_trace(trace))
     doubled = messages + messages
     assert classify.dedupe_login_requests(doubled) == messages
 
@@ -98,8 +98,9 @@ def test_dedupe_keeps_first_request_per_destination():
 
 def test_match_response_in_form_post_body():
     trace = _login_trace(LoginShape())
-    (request,) = classify.detect_login_requests(trace)
-    response = classify.match_login_response(trace, request)
+    view = classify.decode_trace(trace)
+    (request,) = classify.detect_login_requests(view)
+    response = classify.match_login_response(view, request)
     assert response is not None
     assert response.channel == classify.CHANNEL_BODY
     assert response.params.code is not None
@@ -108,8 +109,9 @@ def test_match_response_in_form_post_body():
 
 def test_match_response_in_query():
     trace = _login_trace(LoginShape(delivery="query"))
-    (request,) = classify.detect_login_requests(trace)
-    response = classify.match_login_response(trace, request)
+    view = classify.decode_trace(trace)
+    (request,) = classify.detect_login_requests(view)
+    response = classify.match_login_response(view, request)
     assert response.channel == classify.CHANNEL_QUERY
 
 
@@ -117,16 +119,18 @@ def test_match_response_in_fragment():
     trace = _login_trace(LoginShape(response_type="token",
                                     scope="email profile", pkce=False,
                                     delivery="fragment"))
-    (request,) = classify.detect_login_requests(trace)
-    response = classify.match_login_response(trace, request)
+    view = classify.decode_trace(trace)
+    (request,) = classify.detect_login_requests(view)
+    response = classify.match_login_response(view, request)
     assert response.channel == classify.CHANNEL_FRAGMENT
     assert response.params.access_token is not None
 
 
 def test_match_response_via_post_message():
     trace = _login_trace(LoginShape(delivery="none"))
-    (request,) = classify.detect_login_requests(trace)
-    assert classify.match_login_response(trace, request) is None
+    view = classify.decode_trace(trace)
+    (request,) = classify.detect_login_requests(view)
+    assert classify.match_login_response(view, request) is None
 
     event = {
         "kind": "post-message",
@@ -139,8 +143,9 @@ def test_match_response_via_post_message():
         synth_login_entries(random.Random(1), "shop.example",
                             LoginShape(delivery="none")), [event]))
     trace = parse_trace_bundle(har, json.dumps(build_meta("shop.example")))
-    (request,) = classify.detect_login_requests(trace)
-    response = classify.match_login_response(trace, request)
+    view = classify.decode_trace(trace)
+    (request,) = classify.detect_login_requests(view)
+    response = classify.match_login_response(view, request)
     assert response.ref_kind == classify.REF_IBC
     assert response.channel == classify.CHANNEL_POST_MESSAGE
 
@@ -151,8 +156,9 @@ def test_response_to_other_path_is_not_matched():
     entries.append(har_entry("https://shop.example/other?code=abc123xyz!",
                              started_at="2026-01-17T12:00:05Z"))
     trace = _trace(entries)
-    (request,) = classify.detect_login_requests(trace)
-    assert classify.match_login_response(trace, request) is None
+    view = classify.decode_trace(trace)
+    (request,) = classify.detect_login_requests(view)
+    assert classify.match_login_response(view, request) is None
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +220,8 @@ def test_returned_flow_from_params():
 def test_pair_runs_aligns_by_destination():
     trace1 = _login_trace(seed=1)
     trace2 = _login_trace(seed=2)
-    m1 = classify.detect_login_requests(trace1)
-    m2 = classify.detect_login_requests(trace2)
+    m1 = classify.detect_login_requests(classify.decode_trace(trace1))
+    m2 = classify.detect_login_requests(classify.decode_trace(trace2))
     pairs = classify.pair_runs(m1, m2)
     assert len(pairs) == 1
     first, second = pairs[0]
@@ -227,7 +233,7 @@ def test_pair_runs_aligns_by_destination():
 
 def test_pair_runs_tolerates_missing_partner():
     trace1 = _login_trace(seed=1)
-    m1 = classify.detect_login_requests(trace1)
+    m1 = classify.detect_login_requests(classify.decode_trace(trace1))
     pairs = classify.pair_runs(m1, [])
     assert pairs == [(m1[0], None)]
 

@@ -166,6 +166,8 @@ def test_keyword_config_from_json():
         KeywordConfig.from_json("[1, 2]")
     with pytest.raises(MalformedInput):
         KeywordConfig.from_json("{nope")
+    with pytest.raises(MalformedInput):
+        KeywordConfig.from_json("[" * 100_000 + "]" * 100_000)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +209,8 @@ def test_load_scan_records_reports_bad_lines():
         load_scan_records(text + "\n{broken\n")
     with pytest.raises(MalformedInput):
         load_scan_records('{"scanned_at": "t"}\n')  # no domain
+    with pytest.raises(MalformedInput, match="line 1"):
+        load_scan_records("[" * 100_000 + "]" * 100_000)
     assert load_scan_records("\n\n") == []
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sso_auditor import privacy, spar
+from sso_auditor import classify, privacy, spar
 from sso_auditor.exceptions import ProfileMismatch
 from sso_auditor.synth import (
     build_har, build_meta, har_entry, make_id_token, synth_visit_entries,
@@ -34,13 +34,14 @@ def _login_run_trace():
 def test_detectors_reject_login_runs():
     trace = _login_run_trace()
     with pytest.raises(ProfileMismatch):
-        privacy.detect_lal(trace)
+        privacy.detect_lal(classify.decode_trace(trace))
     with pytest.raises(ProfileMismatch):
-        privacy.detect_tel(trace)
+        privacy.detect_tel(classify.decode_trace(trace))
 
 
 def test_lal_fires_on_widget_probe_without_consent():
-    findings = privacy.detect_lal(_visit_trace(consented=False))
+    findings = privacy.detect_lal(
+        classify.decode_trace(_visit_trace(consented=False)))
     assert len(findings) == 1
     finding = findings[0]
     assert finding.kind == privacy.LEAK_LAL
@@ -61,15 +62,18 @@ def test_lal_deduplicates_per_provider():
     meta = json.dumps(build_meta("news.example",
                                  profile_kind="no-consent-visit")).encode()
     doubled = parse_trace_bundle(har, meta)
-    assert len(privacy.detect_lal(doubled)) == len(privacy.detect_lal(trace))
+    assert len(privacy.detect_lal(classify.decode_trace(doubled))) \
+        == len(privacy.detect_lal(classify.decode_trace(trace)))
 
 
 def test_tel_absent_without_consent():
-    assert privacy.detect_tel(_visit_trace(consented=False)) == []
+    assert privacy.detect_tel(
+        classify.decode_trace(_visit_trace(consented=False))) == []
 
 
 def test_tel_fires_on_consented_token_delivery():
-    findings = privacy.detect_tel(_visit_trace(consented=True))
+    findings = privacy.detect_tel(
+        classify.decode_trace(_visit_trace(consented=True)))
     assert len(findings) == 1
     finding = findings[0]
     assert finding.kind == privacy.LEAK_TEL
@@ -97,7 +101,8 @@ def test_tel_flags_orphan_token_messages():
         "payload": spar.encode_json(
             {"access_token": "t0k3n!", "token_type": "bearer"}),
     }
-    findings = privacy.detect_tel(_bare_visit_trace([orphan]))
+    findings = privacy.detect_tel(
+        classify.decode_trace(_bare_visit_trace([orphan])))
     assert len(findings) == 1
     finding = findings[0]
     assert finding.annotation == privacy.ANNOTATION_NO_REQUEST
@@ -114,7 +119,8 @@ def test_tel_known_origin_orphan_is_attributed():
         "payload": spar.encode_json(
             {"id_token": make_id_token("RS256", {"sub": "2"})}),
     }
-    findings = privacy.detect_tel(_bare_visit_trace([orphan]))
+    findings = privacy.detect_tel(
+        classify.decode_trace(_bare_visit_trace([orphan])))
     assert [f.idp for f in findings] == ["Google"]
     assert findings[0].annotation == privacy.ANNOTATION_NO_REQUEST
 
@@ -135,7 +141,8 @@ def test_tel_matched_delivery_under_no_consent_still_counts():
     har = json.dumps(build_har(entries, [push])).encode()
     meta = json.dumps(build_meta("news.example",
                                  profile_kind="no-consent-visit")).encode()
-    findings = privacy.detect_tel(parse_trace_bundle(har, meta))
+    findings = privacy.detect_tel(
+        classify.decode_trace(parse_trace_bundle(har, meta)))
     assert [f.kind for f in findings] == ["TEL"]
     assert findings[0].annotation is None  # matched to the widget request
 
@@ -148,8 +155,8 @@ def test_tel_ignores_tokenless_messages():
         "target_origin": "https://news.example",
         "payload": spar.encode_json({"status": "ready"}),
     }
-    assert privacy.detect_tel(
-        _visit_trace(consented=False, extra_ibc=[chatter])) == []
+    assert privacy.detect_tel(classify.decode_trace(
+        _visit_trace(consented=False, extra_ibc=[chatter]))) == []
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ import pytest
 from sso_auditor import cli, report, security
 from sso_auditor.exceptions import UnknownFormat
 from sso_auditor.synth import (
-    LoginShape, build_har, build_meta, synth_login_entries, write_login_unit,
-    write_visit_unit,
+    LoginShape, build_har, build_meta, har_entry, synth_login_entries,
+    write_bundle, write_login_unit, write_visit_unit,
 )
 from sso_auditor.trace import parse_trace_bundle
 
@@ -321,8 +321,11 @@ _GOOD_RECORD = {"domain": "a.example", "idps": [{"idp": "google"}]}
                          "idps": [{"method": "manual"}]}).encode()),
     ("diff", b'{"domain": "a.example\xff"}\n'),
     ("diff", json.dumps({"domain": "a.example", "idps": "google"}).encode()),
+    ("render", b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
+    ("diff", b"[" * 100_000 + b"]" * 100_000),
 ], ids=["render-not-json", "render-not-object", "diff-idp-missing",
-        "diff-not-utf8", "diff-idps-not-list"])
+        "diff-not-utf8", "diff-idps-not-list", "render-too-deep",
+        "diff-too-deep"])
 def test_malformed_input_gives_one_error_line(tmp_path, capsys, command,
                                               payload):
     bad = tmp_path / "bad"
@@ -346,3 +349,138 @@ def test_bare_group_commands_fail(capsys):
     assert "subcommand" in capsys.readouterr().err
     assert cli.main([]) == 1
     assert "usage" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# configuration checks and hostile input
+
+def _set_config(tmp_path, monkeypatch, text):
+    config = tmp_path / "auditor.json"
+    config.write_text(text)
+    monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(config))
+
+
+def _one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    for needle in needles:
+        assert needle in err
+
+
+@pytest.mark.parametrize("key", ["max_spar_depth", "max_spar_nodes"])
+@pytest.mark.parametrize("value", [0, -2, True, "8", 2.5, None])
+def test_config_rejects_spar_budgets_that_are_not_ints_of_at_least_one(
+        tmp_path, monkeypatch, capsys, weak_pack, key, value):
+    _set_config(tmp_path, monkeypatch, json.dumps({key: value}))
+    assert cli.main(["analyze", str(weak_pack)]) == 1
+    _one_error_line(capsys, key)
+
+
+@pytest.mark.parametrize("config, flag", [
+    ('{"entropy_threshold_bits": NaN}', None),
+    ('{"entropy_threshold_bits": -Infinity}', None),
+    ('{"entropy_threshold_bits": "96"}', None),
+    ("{}", "nan"),
+    ("{}", "inf"),
+    # the flag is checked too, not only the file it overrides
+    ('{"entropy_threshold_bits": 96}', "nan"),
+])
+def test_config_rejects_non_finite_entropy_threshold(
+        tmp_path, monkeypatch, capsys, weak_pack, config, flag):
+    _set_config(tmp_path, monkeypatch, config)
+    argv = ["analyze", str(weak_pack)]
+    if flag is not None:
+        argv += ["--entropy-bits", flag]
+    assert cli.main(argv) == 1
+    _one_error_line(capsys, "entropy_threshold_bits")
+
+
+@pytest.mark.parametrize("flag", ["--max-depth", "--max-nodes"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_spar_subcommand_rejects_budgets_below_one(capsys, flag, value):
+    assert cli.main(["spar", "a=1", flag, value]) == 1
+    _one_error_line(capsys, flag)
+
+
+def test_config_budget_reaches_analyze_detection(tmp_path, monkeypatch,
+                                                 capsys, clean_pack):
+    # two nodes hold the query root and its first pair (client_id) only, so
+    # no redirect_uri is seen and no login request is detected
+    cli.main(["analyze", str(clean_pack)])
+    (fragment,) = json.loads(capsys.readouterr().out)["security"]
+    assert len(fragment["logins"]) == 1
+
+    _set_config(tmp_path, monkeypatch, json.dumps({"max_spar_nodes": 2}))
+    cli.main(["analyze", str(clean_pack)])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["max_spar_nodes"] == 2
+    assert doc["security"][0]["logins"] == []
+
+
+def test_config_budget_reaches_privacy_detection(tmp_path, monkeypatch,
+                                                 capsys):
+    root = tmp_path / "visits"
+    write_visit_unit(root / "news.example" / "google", "news.example", seed=6)
+    assert cli.main(["privacy", str(root)]) == 0
+    assert json.loads(capsys.readouterr().out)["privacy"]["findings"]
+
+    # the widget requests go undetected: no LAL, and the consented token
+    # delivery is reported as one without a request
+    _set_config(tmp_path, monkeypatch, json.dumps({"max_spar_nodes": 2}))
+    assert cli.main(["privacy", str(root)]) == 0
+    findings = json.loads(capsys.readouterr().out)["privacy"]["findings"]
+    assert [(f["kind"], f["annotation"]) for f in findings] == \
+        [("TEL", "response-without-request")]
+
+
+def test_analyze_survives_deeply_nested_json_bodies(tmp_path, capsys):
+    deep = "[" * 2048 + "]" * 2048  # 4 KB, too deep for json.loads
+    entries = synth_login_entries(random.Random(5), "shop.example",
+                                  LoginShape())
+    login = entries[1]["request"]
+    login["method"] = "POST"
+    login["postData"] = {"mimeType": "application/json", "text": deep}
+    # a token endpoint answer is read outside the per-rule error guard
+    entries.append(har_entry("https://oauth2.googleapis.com/token",
+                             method="POST", started_at="2026-01-17T12:00:03Z",
+                             body_text=deep, body_mime="application/json"))
+    root = tmp_path / "traces"
+    write_bundle(root / "shop.example" / "google" / "run1", build_har(entries),
+                 build_meta("shop.example"))
+    assert cli.main(["analyze", str(root)]) in (0, 2)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (fragment,) = json.loads(captured.out)["security"]
+    assert len(fragment["logins"]) == 1
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("markdown", json.dumps({"security": [{"findings": ["x"]}]})),
+    ("markdown", json.dumps({"security": "x"})),
+    ("markdown", json.dumps({"privacy": {"rows": [1]}})),
+    ("markdown", json.dumps({"security": [{"findings": [{"rule_id": []}]}]})),
+], ids=["finding-not-object", "security-not-list", "privacy-row-not-object",
+        "rule-id-not-hashable"])
+def test_report_render_rejects_wrong_shapes(tmp_path, capsys, fmt, text):
+    stored = tmp_path / "report.json"
+    stored.write_text(text)
+    assert cli.main(["report", "render", str(stored), "--format", fmt]) == 1
+    _one_error_line(capsys, "report file")
+
+
+@pytest.mark.parametrize("target", ["config", "registry", "har", "meta"])
+def test_deeply_nested_input_files_give_one_error_line(
+        tmp_path, monkeypatch, capsys, clean_pack, target):
+    deep = "[" * 100_000 + "]" * 100_000
+    argv = ["analyze", str(clean_pack)]
+    if target == "config":
+        _set_config(tmp_path, monkeypatch, deep)
+    elif target == "registry":
+        (tmp_path / "registry.json").write_text(deep)
+        argv += ["--idp-registry", str(tmp_path / "registry.json")]
+    else:
+        run1 = clean_pack / "safe.example" / "google" / "run1"
+        (run1 / ("trace.har" if target == "har" else "meta.json")).write_text(deep)
+    assert cli.main(argv) == 1
+    _one_error_line(capsys)

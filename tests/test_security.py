@@ -3,14 +3,16 @@
 import json
 import math
 import random
+from collections import Counter
+from urllib.parse import urlsplit
 
 import pytest
 
 from sso_auditor import classify, security, spar
 from sso_auditor.exceptions import ProfileMismatch
 from sso_auditor.synth import (
-    LoginShape, build_har, build_meta, har_entry, make_id_token,
-    synth_login_entries,
+    IDP_NAME, LoginShape, build_har, build_meta, fixture_domain, har_entry,
+    make_id_token, synth_login_entries,
 )
 from sso_auditor.trace import parse_trace_bundle
 
@@ -292,7 +294,7 @@ def test_client_secret_in_query_is_flagged():
     url = "https://accounts.google.com/o/oauth2/v2/auth?" + spar.encode_form([
         ("client_id", "c"), ("client_secret", "s3cr3t!")])
     trace = _trace([har_entry(url)])
-    findings = security.check_secret_leakage(trace, [])
+    findings = security.check_secret_leakage(classify.decode_trace(trace), [])
     assert _rule_ids(findings) == ["secret.client-secret-fc"]
     assert findings[0].evidence[0].excerpt == "s3cr3t!"
 
@@ -301,13 +303,14 @@ def test_client_secret_in_post_body_is_back_channel():
     entry = har_entry("https://oauth2.googleapis.com/token", method="POST",
                       post_mime="application/x-www-form-urlencoded",
                       post_text="grant_type=authorization_code&client_secret=s")
-    assert security.check_secret_leakage(_trace([entry]), []) == []
+    assert security.check_secret_leakage(
+        classify.decode_trace(_trace([entry])), []) == []
 
 
 def test_referer_leak_to_third_party():
-    trace = _login_trace(LoginShape(referer_leak=True))
-    messages = classify.detect_login_requests(trace)
-    findings = security.check_secret_leakage(trace, messages)
+    view = classify.decode_trace(_login_trace(LoginShape(referer_leak=True)))
+    messages = classify.detect_login_requests(view)
+    findings = security.check_secret_leakage(view, messages)
     assert _rule_ids(findings) == ["secret.referer-leak"]
     assert findings[0].category == "vulnerability"
 
@@ -323,9 +326,9 @@ def test_referer_to_first_party_or_idp_is_fine():
         "https://accounts.google.com/logo.png",
         request_headers=[("Referer", "https://shop.example/cb?code=abc!")],
         started_at="2026-01-17T12:00:05Z"))
-    trace = _trace(entries)
-    messages = classify.detect_login_requests(trace)
-    assert security.check_secret_leakage(trace, messages) == []
+    view = classify.decode_trace(_trace(entries))
+    messages = classify.detect_login_requests(view)
+    assert security.check_secret_leakage(view, messages) == []
 
 
 def test_token_in_url_query_only():
@@ -337,7 +340,8 @@ def test_token_in_url_query_only():
         har_entry("https://shop.example/cb#code=frag!",
                   started_at="2026-01-17T12:00:02Z"),
     ]
-    findings = security.check_secret_leakage(_trace(entries), [])
+    findings = security.check_secret_leakage(
+        classify.decode_trace(_trace(entries)), [])
     assert _rule_ids(findings) == ["secret.token-in-url"]
     # one finding, one evidence item per offending entry, fragments exempt
     assert len(findings[0].evidence) == 2
@@ -458,6 +462,32 @@ def test_run_all_survives_unsplittable_redirect_uri(redirect_uri):
     (login,) = analysis.logins
     assert login.response_ref is None
     assert "analyzer.error" not in analysis.rule_ids()
+
+
+def test_run_all_decodes_each_request_surface_once(fixture_pack,
+                                                   bundle_loader, monkeypatch):
+    # query delivery: detection, response matching and the secret rules all
+    # read the login and callback queries; each is decoded once per run
+    root, _ = fixture_pack
+    unit = root / fixture_domain("secret.token-in-url") / IDP_NAME
+    run1, run2 = (bundle_loader(unit / name) for name in ("run1", "run2"))
+    decoded = Counter()
+    for name in ("decode", "decode_query_string"):
+        def counting(value, *args, _decode=getattr(spar, name), **kwargs):
+            decoded[value] += 1
+            return _decode(value, *args, **kwargs)
+        monkeypatch.setattr(spar, name, counting)
+
+    analysis = security.run_all(run1, run2)
+    assert analysis.rule_ids() == {"secret.token-in-url"}
+    surfaces = Counter()
+    for trace in (run1, run2):
+        for entry in trace.entries:
+            parts = urlsplit(entry.request.url)
+            surfaces.update(value for value in (parts.query, parts.fragment,
+                                                entry.request.body) if value)
+    assert len(surfaces) == 4  # login and callback query, in each run
+    assert {value: decoded[value] for value in surfaces} == surfaces
 
 
 def test_run_all_countermeasure_summary():

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from sso_auditor import spar
+from sso_auditor.exceptions import MalformedJwt
 
 
 def test_plain_value_stays_leaf():
@@ -104,7 +105,7 @@ def test_find_nested_urls():
 
 def test_search_outer_first():
     tree = spar.decode_query_string("state=" + spar.encode_percent("state=a"))
-    hits = spar.search(tree, "state")
+    hits = spar.index(tree)["state"]
     assert len(hits) == 2
     outer, inner = hits
     assert len(outer[0]) < len(inner[0])
@@ -219,3 +220,33 @@ def test_walk_is_preorder_root_first():
     paths = [path for path, _ in spar.walk(tree)]
     assert paths[0] == ()
     assert set(paths[1:]) == {("a",), ("b",)}
+
+
+@pytest.mark.parametrize("depth", [979, 100_000])
+def test_json_too_deep_to_load_stays_a_leaf(depth):
+    value = "[" * depth + "]" * depth
+    tree = spar.decode(value)
+    assert tree.is_leaf
+    assert tree.raw == value
+
+
+def test_decode_never_raises_near_the_json_nesting_limit():
+    # wherever loading gives up, that layer stays opaque instead of raising
+    for depth in range(900, 1010, 3):
+        for value in ("[" * depth + "]" * depth,
+                      '{"a":' * depth + "1" + "}" * depth):
+            tree = spar.decode(value)
+            assert all(raw.startswith(value[:1]) or raw == "1"
+                       for _, raw in spar.leaves(tree))
+            encoded = spar.encode_base64(value)
+            assert spar.decode(encoded).raw == encoded
+
+
+def test_deep_jwt_parts_are_malformed_not_raising():
+    deep = "[" * 100_000 + "]" * 100_000
+    token = spar.encode_jwt({"alg": "RS256"}, {"sub": "1"}).split(".")
+    token[1] = spar.encode_base64url(deep).rstrip("=")
+    with pytest.raises(MalformedJwt):
+        spar.jwt_parts(".".join(token))
+    header = spar.encode_base64url(deep).rstrip("=")
+    assert spar.decode(f"{header}.{token[1]}.c2ln").decoding != spar.JWT

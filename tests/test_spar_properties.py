@@ -1,9 +1,10 @@
 """Property tests for the recursive decoder.
 
 Structures are built from the module's own encoders while tracking the leaf
-multiset the finished tree must contain.  The leaf alphabet includes "!",
-which no codec layer accepts, so generated leaves can never be mistaken for
-another encoding.
+multiset the finished tree must contain.  Every generated leaf contains a
+"!", which no codec layer accepts, so it can never be mistaken for another
+encoding (without one, a value such as "enp6enp6" is valid base64 of
+"zzzzzz").
 """
 
 import string
@@ -19,7 +20,11 @@ LEAF_ALPHABET = string.ascii_lowercase + string.digits + "!"
 # (encoded string, expected leaf multiset, has inner structure)
 Structure = tuple[str, Counter, bool]
 
-leaf_values = st.text(alphabet=LEAF_ALPHABET, min_size=6, max_size=12)
+# 5-11 characters of the alphabet with a "!" inserted at a drawn position
+leaf_values = st.tuples(
+    st.text(alphabet=LEAF_ALPHABET, min_size=5, max_size=11),
+    st.integers(min_value=0, max_value=11),
+).map(lambda drawn: drawn[0][:drawn[1]] + "!" + drawn[0][drawn[1]:])
 form_keys = st.from_regex(r"[a-z][a-z0-9]{0,2}", fullmatch=True)
 
 
