@@ -17,13 +17,12 @@ with at least one token-bearing parameter.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import spar
 from .domains import origin_of, split_url, url_host
 from .exceptions import MalformedInput, MalformedJwt
-from .trace import HttpEntry, Trace
+from .trace import HttpEntry, Trace, load_json
 
 KIND_LOGIN_REQUEST = "login-request"
 KIND_LOGIN_RESPONSE = "login-response"
@@ -48,13 +47,6 @@ PROTOCOL_OIDC = "oidc"
 
 TOKEN_PARAMS = ("code", "access_token", "id_token")
 
-_PARAM_NAMES = (
-    "client_id", "redirect_uri", "response_type", "scope", "state", "nonce",
-    "code_challenge", "code_challenge_method", "code", "access_token",
-    "token_type", "id_token", "client_secret",
-)
-
-
 @dataclass(frozen=True)
 class SsoParams:
     client_id: str | None = None
@@ -74,6 +66,10 @@ class SsoParams:
 
     def get(self, name: str) -> str | None:
         return getattr(self, name)
+
+
+# parameters read from the decoded surfaces; at_hash comes from the id_token
+_PARAM_NAMES = tuple(f.name for f in fields(SsoParams) if f.name != "at_hash")
 
 
 @dataclass(frozen=True)
@@ -181,21 +177,21 @@ def default_registry() -> IdpRegistry:
 
 def load_registry(data: bytes | str) -> IdpRegistry:
     """Registry config: {"idps": [{"name", "authorization_patterns", "token_patterns"}]}"""
-    try:
-        doc = json.loads(data)
-    except (ValueError, RecursionError) as exc:
-        raise MalformedInput(f"registry is not JSON: {exc}") from exc
+    doc = load_json(data, "registry")
     if not isinstance(doc, dict) or not isinstance(doc.get("idps"), list):
         raise MalformedInput("registry document needs an idps list")
     idps = []
     for item in doc["idps"]:
         if not isinstance(item, dict) or "name" not in item:
             raise MalformedInput("registry idp entries need a name")
-        idps.append(IdpEndpoints(
-            name=str(item["name"]),
-            authorization_patterns=tuple(item.get("authorization_patterns", ())),
-            token_patterns=tuple(item.get("token_patterns", ())),
-        ))
+        patterns = {}
+        for key in ("authorization_patterns", "token_patterns"):
+            value = item.get(key, [])
+            if not isinstance(value, list) \
+                    or not all(isinstance(p, str) for p in value):
+                raise MalformedInput(f"registry {key} must be a list of strings")
+            patterns[key] = tuple(value)
+        idps.append(IdpEndpoints(name=str(item["name"]), **patterns))
     return IdpRegistry(idps=tuple(idps))
 
 
@@ -332,10 +328,10 @@ def _redirect_prefix_key(redirect_uri: str) -> str:
     return f"{(parts.hostname or '').lower()}{parts.path}"
 
 
-def _redirect_prefix(redirect_uri: str) -> str:
-    # an unsplittable redirect_uri gives "://", which no parsed entry URL
-    # starts with, so nothing is matched to it
-    parts = split_url(redirect_uri)
+def _url_prefix(url: str) -> str:
+    """scheme://netloc/path, the first two lowercased.  An unsplittable URL
+    gives "://": as a redirect_uri it is a prefix of no parsed entry URL."""
+    parts = split_url(url)
     return f"{parts.scheme.lower()}://{(parts.netloc or '').lower()}{parts.path}"
 
 
@@ -352,7 +348,7 @@ def match_login_response(view: DecodedTrace, request: SsoMessage,
     if not redirect_uri:
         return None
     trace = view.trace
-    prefix = _redirect_prefix(redirect_uri)
+    prefix = _url_prefix(redirect_uri)
     target_origin = origin_of(redirect_uri)
     req_time = _entry_time(trace, request)
 
@@ -361,7 +357,7 @@ def match_login_response(view: DecodedTrace, request: SsoMessage,
     for index in range(start_index, len(trace.entries)):
         entry = trace.entries[index]
         if entry.started_at < req_time \
-                or not _url_prefix_match(entry.request.url, prefix) \
+                or not _url_prefix(entry.request.url).startswith(prefix) \
                 or view.entries[index].token_channel is None:
             continue
         candidates.append((entry.started_at, 0, index, REF_ENTRY))
@@ -382,12 +378,6 @@ def match_login_response(view: DecodedTrace, request: SsoMessage,
         channel=item.token_channel, idp=request.idp, params=item.params,
         locations=item.locations,
     )
-
-
-def _url_prefix_match(url: str, prefix: str) -> bool:
-    parts = split_url(url)
-    normalized = f"{parts.scheme.lower()}://{(parts.netloc or '').lower()}{parts.path}"
-    return normalized.startswith(prefix)
 
 
 # ---------------------------------------------------------------------------

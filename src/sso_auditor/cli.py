@@ -10,7 +10,6 @@ operational error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -23,7 +22,8 @@ from . import security, spar
 from .classify import IdpRegistry, decode_trace, default_registry, load_registry
 from .exceptions import AuditError, MalformedInput
 from .trace import (
-    PROFILE_CONSENT_VISIT, PROFILE_NO_CONSENT_VISIT, Trace, parse_trace_bundle,
+    PROFILE_CONSENT_VISIT, PROFILE_NO_CONSENT_VISIT, Trace, load_json,
+    parse_trace_bundle,
 )
 
 CONFIG_ENV_VAR = "SSO_AUDITOR_CONFIG"
@@ -132,10 +132,7 @@ def _load_config(args) -> tuple[security.RuleConfig, IdpRegistry, str]:
     doc = {}
     config_path = os.environ.get(CONFIG_ENV_VAR)
     if config_path:
-        try:
-            doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:
-            raise MalformedInput(f"config file is not JSON: {exc}") from exc
+        doc = load_json(Path(config_path).read_bytes(), "config file")
         if not isinstance(doc, dict):
             raise MalformedInput("config file must hold a JSON object")
 
@@ -145,10 +142,13 @@ def _load_config(args) -> tuple[security.RuleConfig, IdpRegistry, str]:
             or not math.isfinite(entropy):
         raise MalformedInput(f"entropy_threshold_bits must be a finite number, "
                              f"got {entropy!r}")
+    pkce = doc.get("treat_pkce_as_csrf_protection", True)
+    if not isinstance(pkce, bool):
+        raise MalformedInput(f"treat_pkce_as_csrf_protection must be true or "
+                             f"false, got {pkce!r}")
     cfg = security.RuleConfig(
         entropy_threshold_bits=float(entropy),
-        treat_pkce_as_csrf_protection=bool(
-            doc.get("treat_pkce_as_csrf_protection", True)),
+        treat_pkce_as_csrf_protection=pkce,
         max_spar_depth=_budget("max_spar_depth", doc.get(
             "max_spar_depth", spar.DEFAULT_MAX_DEPTH)),
         max_spar_nodes=_budget("max_spar_nodes", doc.get(
@@ -156,8 +156,12 @@ def _load_config(args) -> tuple[security.RuleConfig, IdpRegistry, str]:
     )
 
     registry_path = getattr(args, "idp_registry", None) or doc.get("idp_registry")
+    if registry_path is not None and (not isinstance(registry_path, str)
+                                      or "\0" in registry_path):
+        raise MalformedInput(f"idp_registry must be a path string, "
+                             f"got {registry_path!r}")
     if registry_path:
-        registry = load_registry(Path(registry_path).read_text(encoding="utf-8"))
+        registry = load_registry(Path(registry_path).read_bytes())
         source = str(registry_path)
     else:
         registry = default_registry()
@@ -271,10 +275,7 @@ def _cmd_landscape_queries(args) -> int:
 
 
 def _cmd_report_render(args) -> int:
-    try:
-        doc = json.loads(Path(args.report_file).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # and UnicodeDecodeError
-        raise MalformedInput(f"report file is not JSON: {exc}") from exc
+    doc = load_json(Path(args.report_file).read_bytes(), "report file")
     if not isinstance(doc, dict):
         raise MalformedInput("report file must hold a JSON object")
     try:

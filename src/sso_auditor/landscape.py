@@ -1,9 +1,8 @@
 """SSO landscape bookkeeping: finding login pages and tracking them over time.
 
-This module builds search engine queries for a website's login pages, pools
-ranked results from several engines, extracts SSO button candidates from
-login page HTML, and stores per-domain scan records that can be diffed
-across monitoring runs.
+This module builds search engine queries for a website's login pages,
+extracts SSO button candidates from login page HTML, and stores per-domain
+scan records that can be diffed across monitoring runs.
 """
 
 from __future__ import annotations
@@ -12,10 +11,12 @@ import json
 import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
-from .domains import registrable_domain, url_host
+from .domains import registrable_domain
 from .exceptions import InvalidDomain, MalformedInput
+from .report import markdown_table
+from .trace import load_json
 
 METHOD_KEYWORD = "keyword"
 METHOD_IMAGE = "image"
@@ -47,30 +48,6 @@ def build_search_queries(domain: str) -> list[str]:
         f'site:{domain} (intitle:"login" OR intitle:"log in" OR '
         f'intitle:"signin" OR intitle:"sign in")',
     ]
-
-
-def pool_results(result_lists: Mapping[str, Sequence[str]], top_k: int,
-                 domain: str) -> list[str]:
-    """Merge per-engine ranked URL lists into one same-site candidate list.
-
-    Each engine contributes its first ``top_k`` results.  A URL shared by
-    several engines keeps its best (lowest) rank; ties keep the order the
-    engines were given in.  Results on a different registrable domain are
-    dropped.
-    """
-    if top_k < 0:
-        raise ValueError("top_k must be >= 0")
-    site = registrable_domain(domain.strip().lower())
-    best: dict[str, tuple[int, int]] = {}
-    for priority, (_, urls) in enumerate(result_lists.items()):
-        for rank, url in enumerate(urls[:top_k], start=1):
-            if registrable_domain(url_host(url)) != site:
-                continue
-            current = best.get(url)
-            if current is None or (rank, priority) < current:
-                best[url] = (rank, priority)
-    return [url for url, _ in sorted(best.items(),
-                                     key=lambda item: (item[1], item[0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +90,7 @@ class KeywordConfig:
 
     @classmethod
     def from_json(cls, data: bytes | str) -> "KeywordConfig":
-        try:
-            doc = json.loads(data)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedInput(f"keyword config is not JSON: {exc}") from exc
+        doc = load_json(data, "keyword config")
         if not isinstance(doc, dict):
             raise MalformedInput("keyword config must be a JSON object")
         defaults = cls()
@@ -309,22 +283,10 @@ def dump_scan_records(records: Iterable[ScanRecord]) -> str:
 
 
 def load_scan_records(data: bytes | str) -> list[ScanRecord]:
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedInput(f"scan records are not UTF-8: {exc}") from exc
-    records = []
-    for line_no, line in enumerate(data.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedInput(f"line {line_no} is not JSON: {exc}") from exc
-        records.append(ScanRecord.from_dict(doc))
-    return records
+    """One JSON object per line; blank lines are skipped."""
+    return [ScanRecord.from_dict(load_json(line, f"line {line_no}"))
+            for line_no, line in enumerate(data.splitlines(), start=1)
+            if line.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +335,12 @@ def diff_scans(prev: Iterable[ScanRecord],
 def render_diff_markdown(diff: LandscapeDiff) -> str:
     idps = sorted({idp for _, idp in diff.added} |
                   {idp for _, idp in diff.removed})
-    lines = []
-    header = ["Change"] + idps + ["Websites"]
-    lines.append("| " + " | ".join(header) + " |")
-    lines.append("|" + "|".join([" --- "] * len(header)) + "|")
-    added_counts = [sum(1 for _, i in diff.added if i == idp) for idp in idps]
-    removed_counts = [sum(1 for _, i in diff.removed if i == idp) for idp in idps]
-    lines.append("| Added | " + " | ".join(str(c) for c in added_counts) +
-                 f" | {len(diff.websites_added)} |")
-    lines.append("| Removed | " + " | ".join(str(c) for c in removed_counts) +
-                 f" | {len(diff.websites_removed)} |")
-    return "\n".join(lines) + "\n"
+    rows = [[label] + [sum(1 for _, i in pairs if i == idp) for idp in idps]
+            + [len(websites)]
+            for label, pairs, websites in (
+                ("Added", diff.added, diff.websites_added),
+                ("Removed", diff.removed, diff.websites_removed))]
+    return "\n".join(markdown_table(["Change"] + idps + ["Websites"], rows)) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -78,61 +78,50 @@ def _render_markdown(report: dict) -> str:
             if label is not None:
                 counts[label] += 1
 
-    lines = []
-    lines.append("# Login security summary")
-    lines.append("")
-    lines.append(f"Tool: {report.get('tool', {}).get('name', '?')} "
-                 f"{report.get('tool', {}).get('version', '?')}, "
-                 f"schema {report.get('schema_version', '?')}, "
-                 f"generated {report.get('generated_at', '?')}")
-    lines.append("")
-    lines.append("| IdP | " + " | ".join(labels) + " |")
-    lines.append("|" + "|".join([" --- "] * (len(labels) + 1)) + "|")
-    for idp in sorted(per_idp):
-        counts = per_idp[idp]
-        lines.append(f"| {idp} | " +
-                     " | ".join(str(counts[label]) for label in labels) + " |")
     totals = [sum(per_idp[idp][label] for idp in per_idp) for label in labels]
-    lines.append("| Total | " + " | ".join(str(t) for t in totals) + " |")
+    tool = report.get("tool", {})
+    lines = ["# Login security summary", "",
+             f"Tool: {tool.get('name', '?')} {tool.get('version', '?')}, "
+             f"schema {report.get('schema_version', '?')}, "
+             f"generated {report.get('generated_at', '?')}", ""]
+    lines += markdown_table(
+        ["IdP", *labels],
+        [[idp, *per_idp[idp].values()] for idp in sorted(per_idp)]
+        + [["Total", *totals]])
 
     privacy = report.get("privacy")
     if privacy:
-        lines.append("")
-        lines.append("# Privacy leaks")
-        lines.append("")
-        lines.append("| IdP | LAL (no consent) | TEL (no consent) | "
-                     "LAL (consent) | TEL (consent) |")
-        lines.append("|" + "|".join([" --- "] * 5) + "|")
-        for row in privacy.get("rows", []):
-            nc = row.get("no-consent-visit", {})
-            cg = row.get("consent-given-visit", {})
-            lines.append(f"| {row.get('idp', '?')} | {nc.get('LAL', 0)} | "
-                         f"{nc.get('TEL', 0)} | {cg.get('LAL', 0)} | "
-                         f"{cg.get('TEL', 0)} |")
-        totals_row = privacy.get("totals", {})
-        nc = totals_row.get("no-consent-visit", {})
-        cg = totals_row.get("consent-given-visit", {})
-        lines.append(f"| Total | {nc.get('LAL', 0)} | {nc.get('TEL', 0)} | "
-                     f"{cg.get('LAL', 0)} | {cg.get('TEL', 0)} |")
+        keys = [(profile, kind) for profile in ("no-consent-visit",
+                                                "consent-given-visit")
+                for kind in ("LAL", "TEL")]
+        rows = [(row.get("idp", "?"), row) for row in privacy.get("rows", [])]
+        rows.append(("Total", privacy.get("totals", {})))
+        lines += ["", "# Privacy leaks", ""]
+        lines += markdown_table(
+            ["IdP", "LAL (no consent)", "TEL (no consent)", "LAL (consent)",
+             "TEL (consent)"],
+            [[label, *(row.get(profile, {}).get(kind, 0)
+                       for profile, kind in keys)] for label, row in rows])
 
     landscape_table = report.get("landscape")
     if landscape_table:
-        lines.append("")
-        lines.append("# SSO landscape")
-        lines.append("")
-        lines.append("| IdP | Logins | OAuth 2.0 | OIDC | code | hybrid | "
-                     "implicit | unknown |")
-        lines.append("|" + "|".join([" --- "] * 8) + "|")
-        for row in landscape_table.get("rows", []):
-            lines.append(f"| {row.get('idp', '?')} | {row.get('sso_logins', 0)} "
-                         f"| {row.get('oauth2', 0)} | {row.get('oidc', 0)} | "
-                         f"{row.get('code', 0)} | {row.get('hybrid', 0)} | "
-                         f"{row.get('implicit', 0)} | {row.get('unknown', 0)} |")
-        totals_row = landscape_table.get("totals", {})
-        lines.append(f"| Total | {totals_row.get('sso_logins', 0)} | "
-                     f"{totals_row.get('oauth2', 0)} | {totals_row.get('oidc', 0)} | "
-                     f"{totals_row.get('code', 0)} | {totals_row.get('hybrid', 0)} | "
-                     f"{totals_row.get('implicit', 0)} | "
-                     f"{totals_row.get('unknown', 0)} |")
+        keys = ("sso_logins", "oauth2", "oidc", "code", "hybrid", "implicit",
+                "unknown")
+        rows = [(row.get("idp", "?"), row)
+                for row in landscape_table.get("rows", [])]
+        rows.append(("Total", landscape_table.get("totals", {})))
+        lines += ["", "# SSO landscape", ""]
+        lines += markdown_table(
+            ["IdP", "Logins", "OAuth 2.0", "OIDC", "code", "hybrid",
+             "implicit", "unknown"],
+            [[label, *(row.get(key, 0) for key in keys)] for label, row in rows])
 
     return "\n".join(lines) + "\n"
+
+
+def markdown_table(header: list[str], rows: list[list[object]]) -> list[str]:
+    """The lines of a Markdown table; cells are written with ``str``."""
+    def line(cells) -> str:
+        return "| " + " | ".join(str(cell) for cell in cells) + " |"
+    return [line(header), "|" + "|".join([" --- "] * len(header)) + "|",
+            *map(line, rows)]

@@ -142,9 +142,7 @@ class LoginPair:
     """One login procedure seen in two recordings; the second may be absent."""
 
     request: SsoMessage
-    response: SsoMessage | None = None
     request2: SsoMessage | None = None
-    response2: SsoMessage | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +633,8 @@ def run_all(run1: Trace, run2: Trace | None = None,
     findings: list[Finding] = []
 
     for request, request2 in paired:
-        response = match_or_none(view1, request)
-        response2 = match_or_none(view2, request2)
-        pair = LoginPair(request=request, response=response,
-                         request2=request2, response2=response2)
+        response = classify.match_login_response(view1, request)
+        pair = LoginPair(request=request, request2=request2)
         token_visible = _visible_token_exchange(run1, registry, request)
 
         checks = (
@@ -688,13 +684,6 @@ def run_all(run1: Trace, run2: Trace | None = None,
                                  f.evidence[0].spar_path))
     analysis.findings = findings
     return analysis
-
-
-def match_or_none(view: DecodedTrace | None,
-                  request: SsoMessage | None) -> SsoMessage | None:
-    if view is None or request is None:
-        return None
-    return classify.match_login_response(view, request)
 
 
 def _visible_token_exchange(trace: Trace, registry: IdpRegistry,

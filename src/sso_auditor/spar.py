@@ -54,7 +54,6 @@ Path = tuple[str, ...]
 
 _B64URL_SEGMENT = re.compile(r"[A-Za-z0-9_-]+={0,2}")
 _B64_STD = re.compile(r"[A-Za-z0-9+/]+={0,2}")
-_B64_URL = re.compile(r"[A-Za-z0-9_-]+={0,2}")
 # Keys a form pair may use.  Deliberately narrow: misreading a URL or a JWT
 # as a form creates false structure that index() would then report.
 _FORM_KEY = re.compile(r"[A-Za-z0-9_.%+~\[\]-]+")
@@ -119,8 +118,15 @@ def decode_query_string(value: str, max_depth: int = DEFAULT_MAX_DEPTH,
         raise ValueError("max_depth and max_nodes must be >= 1")
     budget = _Budget(max_nodes)
     budget.take()
-    node = SparNode(raw=value, decoding=QUERY_STRING, depth=0)
-    _attach_form_children(node, value, max_depth, budget, label=QUERY_STRING)
+    return _query_node(value, 0, max_depth, budget)
+
+
+def _query_node(value: str, depth: int, max_depth: int,
+                budget: _Budget) -> SparNode:
+    """A query-string node holding the form pairs of ``value``; a leaf when
+    there are none.  Its own node is already taken from ``budget``."""
+    node = SparNode(raw=value, decoding=QUERY_STRING, depth=depth)
+    _attach_form_children(node, value, max_depth, budget)
     if not node.children:
         node.decoding = LEAF
     return node
@@ -222,13 +228,12 @@ def _try_form(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bo
     if len(pairs) == 1 and set(pairs[0][1]) <= {"="}:
         return False
     node.decoding = WWW_FORM
-    _attach_form_children(node, value, max_depth, budget, label=WWW_FORM)
+    _attach_form_children(node, value, max_depth, budget)
     return bool(node.children)
 
 
 def _attach_form_children(node: SparNode, value: str, max_depth: int,
-                          budget: _Budget, label: str) -> None:
-    node.decoding = label
+                          budget: _Budget) -> None:
     # Form keys are the only segments that repeat (JSON keys and indices,
     # JWT parts and URL components are distinct).  A repeat becomes key#2,
     # key#3, ...; ``next_suffix`` resumes each key's probe where it stopped,
@@ -255,13 +260,8 @@ def _try_url(node: SparNode, value: str, max_depth: int, budget: _Budget) -> boo
     if parts.path:
         _add_child(node, "path", parts.path, max_depth, budget)
     if parts.query and node.depth < max_depth and budget.take():
-        qs_node = SparNode(raw=parts.query, decoding=QUERY_STRING,
-                           depth=node.depth + 1)
-        _attach_form_children(qs_node, parts.query, max_depth, budget,
-                              label=QUERY_STRING)
-        if not qs_node.children:
-            qs_node.decoding = LEAF
-        node.children["query-string"] = qs_node
+        node.children["query-string"] = _query_node(
+            parts.query, node.depth + 1, max_depth, budget)
     if parts.fragment:
         _add_child(node, "fragment", parts.fragment, max_depth, budget)
     return bool(node.children)
@@ -291,7 +291,7 @@ def _try_base64(node: SparNode, value: str, max_depth: int, budget: _Budget) -> 
         return False
     if _B64_STD.fullmatch(value):
         label = BASE64URL if ("-" in value or "_" in value) else BASE64
-    elif _B64_URL.fullmatch(value):
+    elif _B64URL_SEGMENT.fullmatch(value):
         label = BASE64URL
     else:
         return False

@@ -61,11 +61,7 @@ class HttpRequest:
     body_mime: str | None = None
 
     def header(self, name: str) -> str | None:
-        wanted = name.lower()
-        for key, value in self.headers:
-            if key.lower() == wanted:
-                return value
-        return None
+        return _header_value(self.headers, name.lower())
 
 
 @dataclass(frozen=True)
@@ -76,13 +72,6 @@ class HttpResponse:
     body: str | None = None
     body_mime: str | None = None
     body_truncated: bool = False
-
-    def header(self, name: str) -> str | None:
-        wanted = name.lower()
-        for key, value in self.headers:
-            if key.lower() == wanted:
-                return value
-        return None
 
 
 @dataclass(frozen=True)
@@ -148,7 +137,7 @@ def parse_har(data: bytes | str, metadata: TraceMetadata | None = None) -> Trace
     Raises MalformedInput when the document is not JSON or has no
     log.entries list, and EntryError for the first unreadable entry.
     """
-    doc = _load_json(data)
+    doc = load_json(data)
     log = doc.get("log") if isinstance(doc, dict) else None
     raw_entries = log.get("entries") if isinstance(log, dict) else None
     if not isinstance(raw_entries, list):
@@ -165,16 +154,21 @@ def parse_har(data: bytes | str, metadata: TraceMetadata | None = None) -> Trace
     return Trace(metadata=meta, entries=ordered, ibc_events=ibc)
 
 
-def _load_json(data: bytes | str) -> object:
+def load_json(data: bytes | str, what: str = "input") -> object:
+    """Parse an untrusted JSON document.
+
+    Bytes that are not UTF-8, text that is not JSON and nesting too deep to
+    load all raise MalformedInput naming ``what``.
+    """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise MalformedInput(f"input is not UTF-8: {exc}") from exc
+            raise MalformedInput(f"{what} is not UTF-8: {exc}") from exc
     try:
         return json.loads(data)
     except (ValueError, RecursionError) as exc:
-        raise MalformedInput(f"input is not JSON: {exc}") from exc
+        raise MalformedInput(f"{what} is not JSON: {exc}") from exc
 
 
 def _parse_entry(index: int, raw: object) -> tuple[int, HttpEntry]:
@@ -311,7 +305,7 @@ _METADATA_REQUIRED = ("domain", "page_url", "captured_at", "profile_kind",
 
 
 def parse_metadata(data: bytes | str) -> TraceMetadata:
-    doc = _load_json(data)
+    doc = load_json(data)
     if not isinstance(doc, dict):
         raise MalformedInput("metadata document is not a JSON object")
     for key in _METADATA_REQUIRED:
@@ -332,7 +326,7 @@ def parse_metadata(data: bytes | str) -> TraceMetadata:
 
 
 def parse_ibc(data: bytes | str) -> tuple[IbcEvent, ...]:
-    doc = _load_json(data)
+    doc = load_json(data)
     if not isinstance(doc, list):
         raise MalformedInput("ibc document is not a JSON array")
     return tuple(_parse_ibc_list(doc))

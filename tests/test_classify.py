@@ -6,6 +6,7 @@ import random
 import pytest
 
 from sso_auditor import classify, spar
+from sso_auditor.exceptions import MalformedInput
 from sso_auditor.synth import (
     LoginShape, build_har, build_meta, har_entry, synth_login_entries,
 )
@@ -253,6 +254,17 @@ def test_load_registry_from_json():
         "https://login.acme.example/authorize?x=1") == "Acme"
     assert registry.match_authorization("https://other.example/") is None
     assert registry.match_token("https://login.acme.example/token") == "Acme"
+
+
+@pytest.mark.parametrize("patterns", [5, [5], "accounts.google.com", None,
+                                      {"a": "b"}])
+@pytest.mark.parametrize("key", ["authorization_patterns", "token_patterns"])
+def test_load_registry_requires_lists_of_strings(key, patterns):
+    # before, 5 raised TypeError, [5] AttributeError during detection, and a
+    # bare string was read as one pattern per character
+    doc = {"idps": [{"name": "Acme", key: patterns}]}
+    with pytest.raises(MalformedInput, match=key):
+        classify.load_registry(json.dumps(doc))
 
 
 def test_default_registry_patterns():

@@ -7,8 +7,7 @@ from sso_auditor.exceptions import InvalidDomain, MalformedInput
 from sso_auditor.landscape import (
     ClassifiedLogin, IdpObservation, KeywordConfig, LandscapeDiff, ScanRecord,
     aggregate_landscape, build_search_queries, diff_scans, dump_scan_records,
-    extract_sso_candidates, load_scan_records, pool_results,
-    render_diff_markdown,
+    extract_sso_candidates, load_scan_records, render_diff_markdown,
 )
 
 REDDIT_QUERIES = [
@@ -41,51 +40,6 @@ def test_query_builder_uses_registrable_label_for_subdomains():
 def test_query_builder_rejects_junk(bad):
     with pytest.raises(InvalidDomain):
         build_search_queries(bad)
-
-
-# ---------------------------------------------------------------------------
-# result pooling
-
-def test_pool_results_merges_and_filters():
-    engines = {
-        "bing": ["https://a.example/login",
-                 "https://other.example/x",
-                 "https://a.example/help"],
-        "ddg": ["https://a.example/signin",
-                "https://a.example/login"],
-    }
-    pooled = pool_results(engines, top_k=2, domain="a.example")
-    # a.example/help is beyond top_k, other.example is off-site, and the
-    # shared URL keeps its best rank from the first engine
-    assert pooled == ["https://a.example/login", "https://a.example/signin"]
-
-
-def test_pool_results_rank_beats_priority():
-    engines = {
-        "bing": ["https://a.example/one", "https://a.example/two"],
-        "ddg": ["https://a.example/two"],
-    }
-    pooled = pool_results(engines, top_k=5, domain="a.example")
-    assert pooled == ["https://a.example/one", "https://a.example/two"]
-    # /two is rank 1 for ddg, which wins over rank 2 from bing
-    flipped = pool_results({"bing": engines["bing"],
-                            "ddg": ["https://a.example/two",
-                                    "https://a.example/one"]},
-                           top_k=5, domain="a.example")
-    assert flipped == ["https://a.example/one", "https://a.example/two"]
-
-
-def test_pool_results_subdomains_count_as_same_site():
-    engines = {"e": ["https://login.a.example/start"]}
-    assert pool_results(engines, 3, "a.example") == \
-        ["https://login.a.example/start"]
-
-
-def test_pool_results_edge_budgets():
-    engines = {"e": ["https://a.example/login"]}
-    assert pool_results(engines, 0, "a.example") == []
-    with pytest.raises(ValueError):
-        pool_results(engines, -1, "a.example")
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +207,12 @@ def test_render_diff_markdown_table():
 
 
 def test_render_diff_markdown_empty():
-    text = render_diff_markdown(diff_scans([], []))
-    assert text.splitlines()[0] == "| Change | Websites |"
+    # each row has as many cells as the header, also with no IdP columns
+    assert render_diff_markdown(diff_scans([], [])) == (
+        "| Change | Websites |\n"
+        "| --- | --- |\n"
+        "| Added | 0 |\n"
+        "| Removed | 0 |\n")
 
 
 # ---------------------------------------------------------------------------

@@ -323,9 +323,10 @@ _GOOD_RECORD = {"domain": "a.example", "idps": [{"idp": "google"}]}
     ("diff", json.dumps({"domain": "a.example", "idps": "google"}).encode()),
     ("render", b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
     ("diff", b"[" * 100_000 + b"]" * 100_000),
+    ("render", b'{"generated_at": "\xff"}'),
 ], ids=["render-not-json", "render-not-object", "diff-idp-missing",
         "diff-not-utf8", "diff-idps-not-list", "render-too-deep",
-        "diff-too-deep"])
+        "diff-too-deep", "render-not-utf8"])
 def test_malformed_input_gives_one_error_line(tmp_path, capsys, command,
                                               payload):
     bad = tmp_path / "bad"
@@ -375,6 +376,51 @@ def test_config_rejects_spar_budgets_that_are_not_ints_of_at_least_one(
     _set_config(tmp_path, monkeypatch, json.dumps({key: value}))
     assert cli.main(["analyze", str(weak_pack)]) == 1
     _one_error_line(capsys, key)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("treat_pkce_as_csrf_protection", "false"),
+    ("treat_pkce_as_csrf_protection", 0),
+    ("treat_pkce_as_csrf_protection", None),
+    ("idp_registry", 5),
+    ("idp_registry", ["registry.json"]),
+    ("idp_registry", "registry\0.json"),
+])
+def test_config_rejects_values_of_the_wrong_type(
+        tmp_path, monkeypatch, capsys, weak_pack, key, value):
+    # before, "false" enabled the PKCE exemption and 5 gave a TypeError
+    _set_config(tmp_path, monkeypatch, json.dumps({key: value}))
+    assert cli.main(["analyze", str(weak_pack)]) == 1
+    _one_error_line(capsys, key)
+
+
+@pytest.mark.parametrize("target, payload, needle", [
+    ("config", b'{"idp_registry": "\xff"}', "config file is not UTF-8"),
+    ("registry", b'{"idps": [{"name": "Google\xff"}]}',
+     "registry is not UTF-8"),
+    ("registry", json.dumps({"idps": [
+        {"name": "G", "authorization_patterns": 5}]}).encode(),
+     "authorization_patterns"),
+    ("registry", json.dumps({"idps": [
+        {"name": "G", "token_patterns": [5]}]}).encode(), "token_patterns"),
+    ("registry", json.dumps({"idps": [
+        {"name": "G", "authorization_patterns": "accounts.google.com"}]})
+     .encode(), "authorization_patterns"),
+], ids=["config-not-utf8", "registry-not-utf8", "patterns-number",
+        "pattern-not-string", "patterns-bare-string"])
+def test_bad_config_or_registry_file_gives_one_error_line(
+        tmp_path, monkeypatch, capsys, clean_pack, target, payload, needle):
+    # before, the registry cases ended in UnicodeDecodeError, TypeError and
+    # AttributeError tracebacks, or (a bare string) one pattern per character
+    path = tmp_path / f"{target}.json"
+    path.write_bytes(payload)
+    argv = ["analyze", str(clean_pack)]
+    if target == "config":
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, str(path))
+    else:
+        argv += ["--idp-registry", str(path)]
+    assert cli.main(argv) == 1
+    _one_error_line(capsys, needle)
 
 
 @pytest.mark.parametrize("config, flag", [
