@@ -12,20 +12,24 @@ login request when its decoded parameters carry both ``client_id`` and
 provider endpoint or, as a generic fallback, the request also names a
 ``response_type``.  Responses are matched by delivery to the request's
 ``redirect_uri`` (or the equivalent postMessage target origin) together
-with at least one token-bearing parameter.
+with at least one token-bearing parameter; an entry URL's scheme, host and
+path must equal the redirect_uri's (exact matching, RFC 9700).
+
+``find_logins`` puts each login together once, as a ``Login`` record that
+the security rules and the privacy detectors read: the deduplicated request,
+its response, its partner in a second recording, and whether the login's
+own IdP token endpoint answered visibly.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field, fields
 
 from . import spar
 from .domains import origin_of, split_url, url_host
 from .exceptions import MalformedInput, MalformedJwt
 from .trace import HttpEntry, Trace, load_json
-
-KIND_LOGIN_REQUEST = "login-request"
-KIND_LOGIN_RESPONSE = "login-response"
 
 CHANNEL_QUERY = "http-query"
 CHANNEL_FRAGMENT = "http-fragment"
@@ -45,7 +49,9 @@ FLOW_UNKNOWN = "unknown"
 PROTOCOL_OAUTH2 = "oauth2"
 PROTOCOL_OIDC = "oidc"
 
-TOKEN_PARAMS = ("code", "access_token", "id_token")
+# response_type token kind -> the parameter that delivers it
+TOKEN_KINDS = {"code": "code", "token": "access_token", "id_token": "id_token"}
+TOKEN_PARAMS = tuple(TOKEN_KINDS.values())
 
 @dataclass(frozen=True)
 class SsoParams:
@@ -84,7 +90,6 @@ class ParamLocation:
 
 @dataclass
 class SsoMessage:
-    kind: str
     entry_ref: int
     ref_kind: str  # "entry" or "ibc"
     channel: str
@@ -203,6 +208,11 @@ _PARSED_BODY_MIMES = ("application/x-www-form-urlencoded", "application/json",
                       "text/plain", "")
 
 
+def _mime(body_mime: str | None) -> str:
+    """The bare, lowercased MIME type of a recorded body."""
+    return (body_mime or "").split(";")[0].strip().lower()
+
+
 @dataclass(frozen=True)
 class DecodedItem:
     """One HTTP entry (query, fragment, body surfaces) or IBC event (payload):
@@ -242,7 +252,7 @@ def _entry_trees(entry: HttpEntry, max_depth: int, max_nodes: int,
                  ) -> list[tuple[str, spar.SparNode]]:
     """Decoded parameter surfaces of a request: query, fragment, body."""
     parts = split_url(entry.request.url)
-    mime = (entry.request.body_mime or "").split(";")[0].strip().lower()
+    mime = _mime(entry.request.body_mime)
     body = entry.request.body if mime in _PARSED_BODY_MIMES else None
     # (channel, value, decode as a query string even without codec evidence)
     surfaces = ((CHANNEL_QUERY, parts.query, True),
@@ -303,7 +313,7 @@ def detect_login_requests(view: DecodedTrace,
             if idp is None and params.response_type is None:
                 continue
             messages.append(SsoMessage(
-                kind=KIND_LOGIN_REQUEST, entry_ref=index, ref_kind=ref_kind,
+                entry_ref=index, ref_kind=ref_kind,
                 channel=item.locations["client_id"].channel,
                 idp=idp or UNKNOWN_IDP, params=params, locations=item.locations,
             ))
@@ -328,11 +338,13 @@ def _redirect_prefix_key(redirect_uri: str) -> str:
     return f"{(parts.hostname or '').lower()}{parts.path}"
 
 
-def _url_prefix(url: str) -> str:
-    """scheme://netloc/path, the first two lowercased.  An unsplittable URL
-    gives "://": as a redirect_uri it is a prefix of no parsed entry URL."""
+def _url_base(url: str) -> str | None:
+    """scheme://netloc/path, the first two lowercased and an empty path read
+    as "/"; None for a URL without a scheme or one that cannot be split."""
     parts = split_url(url)
-    return f"{parts.scheme.lower()}://{(parts.netloc or '').lower()}{parts.path}"
+    if not parts.scheme:
+        return None
+    return f"{parts.scheme.lower()}://{parts.netloc.lower()}{parts.path or '/'}"
 
 
 def _entry_time(trace: Trace, msg: SsoMessage):
@@ -348,7 +360,7 @@ def match_login_response(view: DecodedTrace, request: SsoMessage,
     if not redirect_uri:
         return None
     trace = view.trace
-    prefix = _url_prefix(redirect_uri)
+    base = _url_base(redirect_uri)
     target_origin = origin_of(redirect_uri)
     req_time = _entry_time(trace, request)
 
@@ -356,8 +368,8 @@ def match_login_response(view: DecodedTrace, request: SsoMessage,
     start_index = request.entry_ref + 1 if request.ref_kind == REF_ENTRY else 0
     for index in range(start_index, len(trace.entries)):
         entry = trace.entries[index]
-        if entry.started_at < req_time \
-                or not _url_prefix(entry.request.url).startswith(prefix) \
+        if entry.started_at < req_time or base is None \
+                or _url_base(entry.request.url) != base \
                 or view.entries[index].token_channel is None:
             continue
         candidates.append((entry.started_at, 0, index, REF_ENTRY))
@@ -374,7 +386,7 @@ def match_login_response(view: DecodedTrace, request: SsoMessage,
     _, _, index, ref_kind = min(candidates, key=lambda item: item[:2])
     item = (view.entries if ref_kind == REF_ENTRY else view.ibc_events)[index]
     return SsoMessage(
-        kind=KIND_LOGIN_RESPONSE, entry_ref=index, ref_kind=ref_kind,
+        entry_ref=index, ref_kind=ref_kind,
         channel=item.token_channel, idp=request.idp, params=item.params,
         locations=item.locations,
     )
@@ -430,14 +442,8 @@ def classify_returned_flow(response: SsoMessage | None) -> str:
 def returned_token_kinds(response: SsoMessage | None) -> set[str]:
     if response is None:
         return set()
-    kinds = set()
-    if response.params.code is not None:
-        kinds.add("code")
-    if response.params.access_token is not None:
-        kinds.add("token")
-    if response.params.id_token is not None:
-        kinds.add("id_token")
-    return kinds
+    return {kind for kind, param in TOKEN_KINDS.items()
+            if response.params.get(param) is not None}
 
 
 def requested_token_kinds(request: SsoMessage | None) -> set[str]:
@@ -450,9 +456,8 @@ def requested_token_kinds(request: SsoMessage | None) -> set[str]:
 def pair_runs(run1_messages: list[SsoMessage], run2_messages: list[SsoMessage],
               ) -> list[tuple[SsoMessage, SsoMessage | None]]:
     """Align messages of two recordings of the same login procedure."""
-    def key(msg: SsoMessage) -> tuple[str, str, str]:
-        return (msg.kind, msg.idp,
-                _redirect_prefix_key(msg.params.redirect_uri or ""))
+    def key(msg: SsoMessage) -> tuple[str, str]:
+        return (msg.idp, _redirect_prefix_key(msg.params.redirect_uri or ""))
 
     used: set[int] = set()
     pairs: list[tuple[SsoMessage, SsoMessage | None]] = []
@@ -465,3 +470,62 @@ def pair_runs(run1_messages: list[SsoMessage], run2_messages: list[SsoMessage],
                 break
         pairs.append((msg, mate))
     return pairs
+
+
+# ---------------------------------------------------------------------------
+# logins
+
+@dataclass(frozen=True)
+class Login:
+    """One login procedure: its request, the matched response, the same
+    request in the second recording, and whether the login's own IdP token
+    endpoint answered in the front channel with more than was asked for."""
+
+    request: SsoMessage
+    response: SsoMessage | None = None
+    request2: SsoMessage | None = None
+    token_exchange_visible: bool = False
+
+
+def find_logins(view: DecodedTrace, registry: IdpRegistry | None = None,
+                view2: DecodedTrace | None = None) -> list[Login]:
+    """The deduplicated logins of ``view``, in detection order, each paired
+    with its partner in ``view2`` (the second recording), if given."""
+    registry = registry or default_registry()
+    requests = dedupe_login_requests(detect_login_requests(view, registry))
+    requests2 = (dedupe_login_requests(detect_login_requests(view2, registry))
+                 if view2 is not None else [])
+    exchanges = _token_exchanges(view.trace, registry) if requests else []
+    return [Login(request=request,
+                  response=match_login_response(view, request),
+                  request2=request2,
+                  token_exchange_visible=any(
+                      idp == request.idp and _gives_more(doc, request)
+                      for idp, doc in exchanges))
+            for request, request2 in pair_runs(requests, requests2)]
+
+
+def _token_exchanges(trace: Trace, registry: IdpRegistry,
+                     ) -> list[tuple[str, dict]]:
+    """(IdP, JSON object) of each recorded token endpoint response."""
+    exchanges = []
+    for entry in trace.entries:
+        idp = registry.match_token(entry.request.url)
+        body = entry.response.body
+        if idp is None or not body \
+                or _mime(entry.response.body_mime) not in ("application/json",
+                                                           "text/plain", ""):
+            continue
+        try:
+            doc = json.loads(body)
+        except (ValueError, RecursionError):
+            continue
+        if isinstance(doc, dict):
+            exchanges.append((idp, doc))
+    return exchanges
+
+
+def _gives_more(doc: dict, request: SsoMessage) -> bool:
+    """A token endpoint answer carrying a code, or an unrequested id_token."""
+    return "code" in doc or ("id_token" in doc
+                             and "id_token" not in requested_token_kinds(request))

@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import landscape as landscape_mod
@@ -241,7 +242,7 @@ def _cmd_privacy(args) -> int:
             findings.extend(privacy_mod.detect_tel(view, registry))
 
     table = privacy_mod.aggregate_privacy(findings)
-    table["findings"] = [f.to_dict() for f in findings]
+    table["findings"] = [asdict(f) for f in findings]
     report = report_mod.build_report(privacy=table, cfg=cfg,
                                      registry_source=source,
                                      generated_at=max(captured, default=None))
@@ -263,7 +264,7 @@ def _cmd_landscape_diff(args) -> int:
     if args.format == "markdown":
         text = landscape_mod.render_diff_markdown(diff)
     else:
-        text = report_mod.canonical_json(diff.to_dict())
+        text = report_mod.canonical_json(asdict(diff))
     _emit(text, getattr(args, "out", None))
     return EXIT_OK
 

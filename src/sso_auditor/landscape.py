@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from html.parser import HTMLParser
 from typing import Iterable
 
@@ -61,11 +61,6 @@ class SsoCandidate:
     idp: str
     position: int
 
-    def to_dict(self) -> dict:
-        return {"element": self.element, "text": self.text,
-                "matched_keyword": self.matched_keyword, "idp": self.idp,
-                "position": self.position}
-
 
 @dataclass(frozen=True)
 class KeywordConfig:
@@ -87,19 +82,6 @@ class KeywordConfig:
                for template in self.phrase_templates]
         out.extend(self.extra_phrases)
         return out
-
-    @classmethod
-    def from_json(cls, data: bytes | str) -> "KeywordConfig":
-        doc = load_json(data, "keyword config")
-        if not isinstance(doc, dict):
-            raise MalformedInput("keyword config must be a JSON object")
-        defaults = cls()
-        return cls(
-            idp_names=tuple(doc.get("idp_names", defaults.idp_names)),
-            phrase_templates=tuple(doc.get("phrase_templates",
-                                           defaults.phrase_templates)),
-            extra_phrases=tuple((p, i) for p, i in doc.get("extra_phrases", [])),
-        )
 
 
 _CLICKABLE_TAGS = frozenset({"a", "button"})
@@ -245,15 +227,6 @@ class ScanRecord:
     def idp_names(self) -> set[str]:
         return {obs.idp for obs in self.idps}
 
-    def to_dict(self) -> dict:
-        return {
-            "domain": self.domain,
-            "scanned_at": self.scanned_at,
-            "login_pages": list(self.login_pages),
-            "idps": [{"idp": o.idp, "method": o.method,
-                      "login_page": o.login_page} for o in self.idps],
-        }
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ScanRecord":
         if not isinstance(doc, dict) or "domain" not in doc:
@@ -278,7 +251,7 @@ class ScanRecord:
 
 
 def dump_scan_records(records: Iterable[ScanRecord]) -> str:
-    return "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n"
+    return "".join(json.dumps(asdict(r), sort_keys=True) + "\n"
                    for r in records)
 
 
@@ -298,14 +271,6 @@ class LandscapeDiff:
     removed: tuple[tuple[str, str], ...]
     websites_added: tuple[str, ...]
     websites_removed: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "added": [list(pair) for pair in self.added],
-            "removed": [list(pair) for pair in self.removed],
-            "websites_added": list(self.websites_added),
-            "websites_removed": list(self.websites_removed),
-        }
 
 
 def _pair_set(records: Iterable[ScanRecord]) -> set[tuple[str, str]]:

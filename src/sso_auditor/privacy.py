@@ -9,9 +9,11 @@ Two leak kinds matter for profiling by identity providers:
   the website (query, fragment, or in-browser message) on a plain visit,
   telling the provider about every return visit.
 
-Both detectors refuse login-run traces: a deliberate login is consent, not
-leakage.  Findings carry the capture profile so aggregation can split
-consent-given from no-consent visits.
+Both detectors read a visit's decoded view (``classify.decode_trace``): LAL
+its detected login requests, TEL its logins (``classify.find_logins``) and
+their matched responses.  Both refuse login-run traces: a deliberate login
+is consent, not leakage.  Findings carry the capture profile so aggregation
+can split consent-given from no-consent visits.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ class PrivacyEvidence:
     index: int
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"ref_kind": self.ref_kind, "index": self.index,
-                "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class PrivacyFinding:
@@ -48,16 +46,6 @@ class PrivacyFinding:
     profile_kind: str
     evidence: PrivacyEvidence
     annotation: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "idp": self.idp,
-            "domain": self.domain,
-            "profile_kind": self.profile_kind,
-            "evidence": self.evidence.to_dict(),
-            "annotation": self.annotation,
-        }
 
 
 def _require_visit_trace(trace: Trace, analysis: str) -> None:
@@ -99,18 +87,16 @@ def detect_tel(view: DecodedTrace, registry: IdpRegistry | None = None,
     trace = view.trace
     _require_visit_trace(trace, "token exchange leak detection")
     registry = registry or default_registry()
-    messages = classify.dedupe_login_requests(
-        classify.detect_login_requests(view, registry))
     findings = []
     matched_refs: set[tuple[str, int]] = set()
-    for msg in messages:
-        response = classify.match_login_response(view, msg)
+    for login in classify.find_logins(view, registry):
+        response = login.response
         if response is None:
             continue
         matched_refs.add((response.ref_kind, response.entry_ref))
         findings.append(PrivacyFinding(
             kind=LEAK_TEL,
-            idp=msg.idp,
+            idp=login.request.idp,
             domain=trace.metadata.domain,
             profile_kind=trace.metadata.profile_kind,
             evidence=PrivacyEvidence(
@@ -158,14 +144,7 @@ def aggregate_privacy(findings: list[PrivacyFinding]) -> dict:
             row[profile][kind] += 1
 
     ordered = [rows[idp] for idp in sorted(rows)]
-    totals = {
-        "no-consent-visit": {
-            LEAK_LAL: sum(r["no-consent-visit"][LEAK_LAL] for r in ordered),
-            LEAK_TEL: sum(r["no-consent-visit"][LEAK_TEL] for r in ordered),
-        },
-        "consent-given-visit": {
-            LEAK_LAL: sum(r["consent-given-visit"][LEAK_LAL] for r in ordered),
-            LEAK_TEL: sum(r["consent-given-visit"][LEAK_TEL] for r in ordered),
-        },
-    }
+    totals = {profile: {kind: sum(r[profile][kind] for r in ordered)
+                        for kind in (LEAK_LAL, LEAK_TEL)}
+              for profile in ("no-consent-visit", "consent-given-visit")}
     return {"rows": ordered, "totals": totals}

@@ -9,6 +9,7 @@ identity provider in the columns that ``data/rules.json`` assigns to rules.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
@@ -43,7 +44,7 @@ def build_report(security: list[SecurityAnalysis] | None = None,
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "sso-auditor", "version": __version__},
         "generated_at": format_timestamp(generated_at),
-        "config": {**cfg.to_dict(), "idp_registry": registry_source},
+        "config": {**asdict(cfg), "idp_registry": registry_source},
         "security": [fragment.to_dict() for fragment in fragments],
         "privacy": privacy,
         "landscape": landscape,

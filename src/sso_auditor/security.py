@@ -1,10 +1,15 @@
 """Passive security checks over recorded login runs.
 
-Every check reads the trace, its decoded view (``classify.decode_trace``,
-built once per run under the configured SPAR budgets) and the reconstructed
-SSO messages; nothing is ever replayed or probed.  Findings carry a stable
-rule_id, a category (vulnerability or potential-issue), and non-empty
-evidence pointing back into the trace.
+``run_all`` decodes each recording once (``classify.decode_trace``, under the
+configured SPAR budgets) and puts each login together once
+(``classify.find_logins``).  Every per-login rule has one signature,
+``check_x(login, cfg) -> list[Finding]``, and runs from the ``LOGIN_RULES``
+table of (group name, rule), each group guarded so that a crashing rule
+becomes one ``analyzer.error`` finding.  The trace-level rules read the
+decoded view and the logins' requests.  Nothing is ever replayed or probed.
+Findings carry a stable rule_id, a category (vulnerability or
+potential-issue), and non-empty evidence pointing back into the trace; their
+domain is the analyzed unit's.
 
 Scoping decisions that matter for interpretation:
 
@@ -26,11 +31,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 from . import classify, spar
-from .classify import DecodedTrace, IdpRegistry, SsoMessage, default_registry
+from .classify import DecodedTrace, IdpRegistry, Login, SsoMessage
 from .domains import is_loopback_host, registrable_domain, split_url, url_host
 from .exceptions import MalformedJwt, ProfileMismatch
 from .trace import PROFILE_LOGIN_RUN, Trace
@@ -83,16 +88,11 @@ class Evidence:
         if len(self.excerpt) > MAX_EXCERPT:
             object.__setattr__(self, "excerpt", self.excerpt[:MAX_EXCERPT])
 
-    def to_dict(self) -> dict:
-        return {"entry_index": self.entry_index, "spar_path": self.spar_path,
-                "excerpt": self.excerpt}
-
 
 @dataclass(frozen=True)
 class Finding:
     rule_id: str
     idp: str
-    domain: str
     evidence: tuple[Evidence, ...]
     message: str
 
@@ -105,14 +105,7 @@ class Finding:
         return RULES[self.rule_id]["category"]
 
     def to_dict(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "category": self.category,
-            "idp": self.idp,
-            "domain": self.domain,
-            "evidence": [ev.to_dict() for ev in self.evidence],
-            "message": self.message,
-        }
+        return {**asdict(self), "category": self.category}
 
 
 @dataclass(frozen=True)
@@ -122,27 +115,11 @@ class RuleConfig:
     max_spar_depth: int = spar.DEFAULT_MAX_DEPTH
     max_spar_nodes: int = spar.DEFAULT_MAX_NODES
 
-    def to_dict(self) -> dict:
-        return {
-            "entropy_threshold_bits": self.entropy_threshold_bits,
-            "treat_pkce_as_csrf_protection": self.treat_pkce_as_csrf_protection,
-            "max_spar_depth": self.max_spar_depth,
-            "max_spar_nodes": self.max_spar_nodes,
-        }
-
 
 @dataclass(frozen=True)
 class EntropyEstimate:
     bits: float
     basis: str
-
-
-@dataclass
-class LoginPair:
-    """One login procedure seen in two recordings; the second may be absent."""
-
-    request: SsoMessage
-    request2: SsoMessage | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +197,24 @@ def _request_evidence(msg: SsoMessage) -> Evidence:
 
 
 # ---------------------------------------------------------------------------
-# per-login rules
+# per-login rules: check_x(login, cfg) -> list[Finding]
 
 _CSRF_PARAMS = ("state", "nonce", "code_challenge")
 
 
-def check_csrf(pair: LoginPair, cfg: RuleConfig | None = None) -> list[Finding]:
-    cfg = cfg or RuleConfig()
-    req = pair.request
+def check_csrf(login: Login, cfg: RuleConfig) -> list[Finding]:
+    req = login.request
     present = [name for name in _CSRF_PARAMS if req.params.get(name) is not None]
     if not present:
         return [Finding(
-            rule_id=RULE_CSRF_MISSING, idp=req.idp, domain="",
+            rule_id=RULE_CSRF_MISSING, idp=req.idp,
             evidence=(_request_evidence(req),),
             message="login request carries neither state nor nonce nor a "
                     "PKCE challenge",
         )]
     if cfg.treat_pkce_as_csrf_protection and req.params.code_challenge is not None:
         return []
-    paired = pair.request2
+    paired = login.request2
     best_name, best = None, None
     for name in present:
         estimate = estimate_entropy(
@@ -255,18 +231,18 @@ def check_csrf(pair: LoginPair, cfg: RuleConfig | None = None) -> list[Finding]:
     else:
         detail = f"upper bound {best.bits:.2f} bits"
     return [Finding(
-        rule_id=RULE_CSRF_WEAK, idp=req.idp, domain="",
+        rule_id=RULE_CSRF_WEAK, idp=req.idp,
         evidence=(_param_evidence(req, best_name),),
         message=f"best CSRF protection parameter {best_name!r} is guessable "
                 f"({detail}, threshold {cfg.entropy_threshold_bits:g} bits)",
     )]
 
 
-def check_obsolete_flow(request: SsoMessage,
-                        response: SsoMessage | None) -> list[Finding]:
-    returned = classify.classify_returned_flow(response)
+def check_obsolete_flow(login: Login, cfg: RuleConfig) -> list[Finding]:
+    response = login.response
     if response is None:
         return []
+    returned = classify.classify_returned_flow(response)
     if returned == classify.FLOW_IMPLICIT:
         reason = "tokens are issued directly in the front channel (implicit flow)"
         token_name = "access_token" if response.params.access_token else "id_token"
@@ -276,20 +252,20 @@ def check_obsolete_flow(request: SsoMessage,
     else:
         return []
     return [Finding(
-        rule_id=RULE_FLOW_OBSOLETE, idp=request.idp, domain="",
+        rule_id=RULE_FLOW_OBSOLETE, idp=login.request.idp,
         evidence=(_param_evidence(response, token_name),),
         message=reason,
     )]
 
 
-def check_mixups(request: SsoMessage, response: SsoMessage | None,
-                 token_exchange_visible: bool = False) -> list[Finding]:
+def check_mixups(login: Login, cfg: RuleConfig) -> list[Finding]:
+    request, response = login.request, login.response
     findings = []
     scope_tokens = (request.params.scope or "").split()
     if response is not None and response.params.id_token is not None \
             and "openid" not in scope_tokens:
         findings.append(Finding(
-            rule_id=RULE_PROTOCOL_MIXUP, idp=request.idp, domain="",
+            rule_id=RULE_PROTOCOL_MIXUP, idp=request.idp,
             evidence=(_param_evidence(response, "id_token"),),
             message="an id_token was returned although the request did not "
                     "ask for the openid scope",
@@ -303,32 +279,27 @@ def check_mixups(request: SsoMessage, response: SsoMessage | None,
                    and returned_flow != classify.FLOW_UNKNOWN)
     mismatch = flows_known and requested_flow != returned_flow
     extra_kinds = sorted(returned_kinds - requested_kinds) if requested_kinds else []
-    if mismatch or extra_kinds or token_exchange_visible:
+    if mismatch or extra_kinds or login.token_exchange_visible:
         anchor = response if response is not None else request
-        token_name = None
-        for kind, param in (("code", "code"), ("token", "access_token"),
-                            ("id_token", "id_token")):
-            if kind in (extra_kinds or returned_kinds):
-                token_name = param
-                break
+        token_name = next((param for kind, param in classify.TOKEN_KINDS.items()
+                           if kind in (extra_kinds or returned_kinds)), None)
         evidence = (_param_evidence(anchor, token_name) if token_name
                     else _request_evidence(anchor))
-        if token_exchange_visible and not (mismatch or extra_kinds):
+        if login.token_exchange_visible and not (mismatch or extra_kinds):
             message = "a front-channel token exchange returned additional " \
                       "token material"
         else:
             message = (f"requested flow {requested_flow!r} but the response "
                        f"matches {returned_flow!r}")
         findings.append(Finding(
-            rule_id=RULE_FLOW_MIXUP, idp=request.idp, domain="",
+            rule_id=RULE_FLOW_MIXUP, idp=request.idp,
             evidence=(evidence,), message=message,
         ))
     return findings
 
 
-def check_open_redirect(request: SsoMessage,
-                        cfg: RuleConfig | None = None) -> list[Finding]:
-    cfg = cfg or RuleConfig()
+def check_open_redirect(login: Login, cfg: RuleConfig) -> list[Finding]:
+    request = login.request
     redirect_uri = request.params.redirect_uri
     if not redirect_uri:
         return []
@@ -345,26 +316,28 @@ def check_open_redirect(request: SsoMessage,
         for path, url in nested
     )
     return [Finding(
-        rule_id=RULE_OPEN_REDIRECT, idp=request.idp, domain="",
+        rule_id=RULE_OPEN_REDIRECT, idp=request.idp,
         evidence=evidence,
         message=f"redirect_uri embeds {len(evidence)} nested absolute URL(s); "
                 "possible open-redirector chaining",
     )]
 
 
-def check_injection_protection(request: SsoMessage,
-                               response: SsoMessage | None) -> list[Finding]:
+def check_injection_protection(login: Login, cfg: RuleConfig) -> list[Finding]:
+    request, response = login.request, login.response
+    if response is None:
+        return []
     findings = []
-    if response is not None and response.params.code is not None \
+    if response.params.code is not None \
             and request.params.code_challenge is None \
             and request.params.nonce is None:
         findings.append(Finding(
-            rule_id=RULE_CODE_UNPROTECTED, idp=request.idp, domain="",
+            rule_id=RULE_CODE_UNPROTECTED, idp=request.idp,
             evidence=(_param_evidence(response, "code"),),
             message="authorization code is not bound to the client via PKCE "
                     "or nonce; code injection is not detectable",
         ))
-    if response is not None and response.params.id_token is not None \
+    if response.params.id_token is not None \
             and response.params.access_token is not None:
         try:
             _, payload, _ = spar.jwt_parts(response.params.id_token)
@@ -372,7 +345,7 @@ def check_injection_protection(request: SsoMessage,
             payload = None
         if payload is not None and "at_hash" not in payload:
             findings.append(Finding(
-                rule_id=RULE_AT_HASH_MISSING, idp=request.idp, domain="",
+                rule_id=RULE_AT_HASH_MISSING, idp=request.idp,
                 evidence=(_param_evidence(response, "id_token"),),
                 message="id_token and access_token are returned together but "
                         "the id_token carries no at_hash binding",
@@ -380,43 +353,51 @@ def check_injection_protection(request: SsoMessage,
     return findings
 
 
-def check_id_token_alg(response: SsoMessage | None) -> list[Finding]:
+def check_id_token_alg(login: Login, cfg: RuleConfig) -> list[Finding]:
+    response = login.response
     if response is None or response.params.id_token is None:
         return []
+    evidence = (_param_evidence(response, "id_token"),)
     try:
         header, _, _ = spar.jwt_parts(response.params.id_token)
     except MalformedJwt as exc:
         return [Finding(
-            rule_id=RULE_IDTOKEN_MALFORMED, idp=response.idp, domain="",
-            evidence=(_param_evidence(response, "id_token"),),
+            rule_id=RULE_IDTOKEN_MALFORMED, idp=response.idp, evidence=evidence,
             message=f"id_token does not decode as a JWT: {exc}",
         )]
     alg = str(header.get("alg", ""))
     if alg.lower() == "none":
         return [Finding(
-            rule_id=RULE_IDTOKEN_NONE, idp=response.idp, domain="",
-            evidence=(_param_evidence(response, "id_token"),),
+            rule_id=RULE_IDTOKEN_NONE, idp=response.idp, evidence=evidence,
             message="id_token is unsigned (alg=none)",
         )]
     if alg.startswith("HS"):
         return [Finding(
-            rule_id=RULE_IDTOKEN_SYMMETRIC, idp=response.idp, domain="",
-            evidence=(_param_evidence(response, "id_token"),),
+            rule_id=RULE_IDTOKEN_SYMMETRIC, idp=response.idp, evidence=evidence,
             message=f"id_token uses a symmetric signature ({alg}); the "
                     "client must hold the shared secret",
         )]
     return []
 
 
-# ---------------------------------------------------------------------------
-# trace-level rules
+# (group name, rule) in evaluation order; a group that raises becomes one
+# analyzer.error finding named after it
+LOGIN_RULES = (
+    ("csrf", check_csrf),
+    ("obsolete-flow", check_obsolete_flow),
+    ("mixups", check_mixups),
+    ("open-redirect", check_open_redirect),
+    ("injection", check_injection_protection),
+    ("id-token-alg", check_id_token_alg),
+)
 
-def check_secret_leakage(view: DecodedTrace, messages: list[SsoMessage],
-                         cfg: RuleConfig | None = None) -> list[Finding]:
-    cfg = cfg or RuleConfig()
+
+# ---------------------------------------------------------------------------
+# trace-level rules: ``idp`` labels findings not anchored to one login
+
+def check_secret_leakage(view: DecodedTrace, requests: list[SsoMessage],
+                         idp: str, cfg: RuleConfig) -> list[Finding]:
     trace = view.trace
-    domain = trace.metadata.domain
-    idp = _primary_idp(trace, messages)
     findings = []
 
     # bodies are not browser-visible URLs; IBC payloads are front channel
@@ -431,14 +412,14 @@ def check_secret_leakage(view: DecodedTrace, messages: list[SsoMessage],
     ]
     if secret_evidence:
         findings.append(Finding(
-            rule_id=RULE_SECRET_FC, idp=idp, domain=domain,
+            rule_id=RULE_SECRET_FC, idp=idp,
             evidence=tuple(secret_evidence),
             message="client_secret is exposed in the front channel",
         ))
 
-    client_site = registrable_domain(domain)
+    client_site = registrable_domain(trace.metadata.domain)
     idp_sites = {registrable_domain(url_host(trace.entries[m.entry_ref].request.url))
-                 for m in messages if m.ref_kind == classify.REF_ENTRY}
+                 for m in requests if m.ref_kind == classify.REF_ENTRY}
     referer_evidence = []
     for index, entry in enumerate(trace.entries):
         referer = entry.request.header("referer")
@@ -455,7 +436,7 @@ def check_secret_leakage(view: DecodedTrace, messages: list[SsoMessage],
                 excerpt=referer))
     if referer_evidence:
         findings.append(Finding(
-            rule_id=RULE_REFERER_LEAK, idp=idp, domain=domain,
+            rule_id=RULE_REFERER_LEAK, idp=idp,
             evidence=tuple(referer_evidence),
             message="login tokens leak through the Referer header to a "
                     "third party",
@@ -472,7 +453,7 @@ def check_secret_leakage(view: DecodedTrace, messages: list[SsoMessage],
                 excerpt=trace.entries[index].request.url))
     if url_evidence:
         findings.append(Finding(
-            rule_id=RULE_TOKEN_IN_URL, idp=idp, domain=domain,
+            rule_id=RULE_TOKEN_IN_URL, idp=idp,
             evidence=tuple(url_evidence),
             message="login tokens appear in navigated URL query strings "
                     "(browser history, server logs)",
@@ -488,16 +469,11 @@ def _first_token_path(hits: spar.SegmentIndex) -> spar.Path | None:
     return None
 
 
-def check_transport(trace: Trace, messages: list[SsoMessage],
-                    cfg: RuleConfig | None = None) -> list[Finding]:
-    cfg = cfg or RuleConfig()
-    domain = trace.metadata.domain
-    idp = _primary_idp(trace, messages)
+def check_transport(trace: Trace, requests: list[SsoMessage], idp: str,
+                    cfg: RuleConfig) -> list[Finding]:
     findings = []
 
-    for msg in messages:
-        if msg.kind != classify.KIND_LOGIN_REQUEST:
-            continue
+    for msg in requests:
         redirect_uri = msg.params.redirect_uri
         if not redirect_uri:
             continue
@@ -505,7 +481,7 @@ def check_transport(trace: Trace, messages: list[SsoMessage],
         if parts.scheme.lower() == "http" \
                 and not is_loopback_host(parts.hostname or ""):
             findings.append(Finding(
-                rule_id=RULE_PLAIN_REDIRECT_URI, idp=msg.idp, domain=domain,
+                rule_id=RULE_PLAIN_REDIRECT_URI, idp=msg.idp,
                 evidence=(_param_evidence(msg, "redirect_uri"),),
                 message="redirect_uri uses plain http on a non-loopback host",
             ))
@@ -513,7 +489,7 @@ def check_transport(trace: Trace, messages: list[SsoMessage],
     for index, entry in enumerate(trace.entries):
         if split_url(entry.request.url).scheme.lower() == "http":
             findings.append(Finding(
-                rule_id=RULE_PLAIN_REQUEST, idp=idp, domain=domain,
+                rule_id=RULE_PLAIN_REQUEST, idp=idp,
                 evidence=(Evidence(entry_index=index, spar_path="url",
                                    excerpt=entry.request.url),),
                 message="request sent over plain http",
@@ -529,7 +505,7 @@ def check_transport(trace: Trace, messages: list[SsoMessage],
                    for component in (parts.query, parts.fragment) if component)
         if any(_first_token_path(hits) is not None for hits in indexes):
             findings.append(Finding(
-                rule_id=RULE_307_RESPONSE, idp=idp, domain=domain,
+                rule_id=RULE_307_RESPONSE, idp=idp,
                 evidence=(Evidence(entry_index=index, spar_path="location",
                                    excerpt=target),),
                 message="authorization response is relayed with status 307, "
@@ -538,12 +514,12 @@ def check_transport(trace: Trace, messages: list[SsoMessage],
     return findings
 
 
-def _primary_idp(trace: Trace, messages: list[SsoMessage]) -> str:
+def _primary_idp(trace: Trace, requests: list[SsoMessage]) -> str:
     # the detected provider name keeps trace-level findings in the same
     # report row as the login-anchored ones; the operator's metadata label
     # is only a fallback for traces where detection came up empty
-    for msg in messages:
-        return msg.idp
+    if requests:
+        return requests[0].idp
     if trace.metadata.idp_label:
         return trace.metadata.idp_label
     return classify.UNKNOWN_IDP
@@ -551,10 +527,6 @@ def _primary_idp(trace: Trace, messages: list[SsoMessage]) -> str:
 
 # ---------------------------------------------------------------------------
 # orchestration
-
-_PER_LOGIN_CHECKS = ("csrf", "obsolete-flow", "mixups", "open-redirect",
-                     "injection", "id-token-alg")
-
 
 @dataclass
 class LoginAnalysis:
@@ -566,18 +538,6 @@ class LoginAnalysis:
     request_ref: int
     response_ref: int | None
     response_channel: str | None
-
-    def to_dict(self) -> dict:
-        return {
-            "idp": self.idp,
-            "protocol": self.protocol,
-            "requested_flow": self.requested_flow,
-            "returned_flow": self.returned_flow,
-            "countermeasures": dict(self.countermeasures),
-            "request_ref": self.request_ref,
-            "response_ref": self.response_ref,
-            "response_channel": self.response_channel,
-        }
 
 
 @dataclass
@@ -599,8 +559,9 @@ class SecurityAnalysis:
         return {
             "domain": self.domain,
             "idp": self.idp,
-            "logins": [login.to_dict() for login in self.logins],
-            "findings": [f.to_dict() for f in self.findings],
+            "logins": [asdict(login) for login in self.logins],
+            "findings": [{**f.to_dict(), "domain": self.domain}
+                         for f in self.findings],
             "vulnerabilities": self.vulnerability_count,
         }
 
@@ -610,48 +571,29 @@ def run_all(run1: Trace, run2: Trace | None = None,
             registry: IdpRegistry | None = None) -> SecurityAnalysis:
     """Run every passive check over one (domain, idp) login procedure."""
     cfg = cfg or RuleConfig()
-    registry = registry or default_registry()
     for trace in (run1, run2):
         if trace is not None and trace.metadata.profile_kind != PROFILE_LOGIN_RUN:
             raise ProfileMismatch(
                 f"security rules need login-run traces, got "
                 f"{trace.metadata.profile_kind}")
 
-    view1 = classify.decode_trace(run1, cfg.max_spar_depth, cfg.max_spar_nodes)
-    view2 = (classify.decode_trace(run2, cfg.max_spar_depth, cfg.max_spar_nodes)
-             if run2 is not None else None)
-    messages1 = classify.dedupe_login_requests(
-        classify.detect_login_requests(view1, registry))
-    messages2 = classify.dedupe_login_requests(
-        classify.detect_login_requests(view2, registry)) if view2 else []
-    paired = classify.pair_runs(messages1, messages2)
-
-    analysis = SecurityAnalysis(
-        domain=run1.metadata.domain,
-        idp=_primary_idp(run1, messages1),
-    )
+    view1, view2 = (
+        classify.decode_trace(trace, cfg.max_spar_depth, cfg.max_spar_nodes)
+        if trace is not None else None for trace in (run1, run2))
+    logins = classify.find_logins(view1, registry, view2)
+    requests = [login.request for login in logins]
+    analysis = SecurityAnalysis(domain=run1.metadata.domain,
+                                idp=_primary_idp(run1, requests))
     findings: list[Finding] = []
 
-    for request, request2 in paired:
-        response = classify.match_login_response(view1, request)
-        pair = LoginPair(request=request, request2=request2)
-        token_visible = _visible_token_exchange(run1, registry, request)
-
-        checks = (
-            lambda: check_csrf(pair, cfg),
-            lambda: check_obsolete_flow(request, response),
-            lambda: check_mixups(request, response, token_visible),
-            lambda: check_open_redirect(request, cfg),
-            lambda: check_injection_protection(request, response),
-            lambda: check_id_token_alg(response),
-        )
-        for name, call in zip(_PER_LOGIN_CHECKS, checks):
+    for login in logins:
+        request, response = login.request, login.response
+        for name, rule in LOGIN_RULES:
             try:
-                findings.extend(call())
+                findings.extend(rule(login, cfg))
             except Exception as exc:  # a broken rule must not kill the report
                 findings.append(Finding(
-                    rule_id=RULE_ANALYZER_ERROR,
-                    idp=request.idp, domain=run1.metadata.domain,
+                    rule_id=RULE_ANALYZER_ERROR, idp=request.idp,
                     evidence=(Evidence(entry_index=request.entry_ref,
                                        spar_path=name,
                                        excerpt=repr(exc)),),
@@ -675,38 +617,9 @@ def run_all(run1: Trace, run2: Trace | None = None,
             response_channel=response.channel if response else None,
         ))
 
-    findings.extend(check_secret_leakage(view1, messages1, cfg))
-    findings.extend(check_transport(run1, messages1, cfg))
-
-    domain = run1.metadata.domain
-    findings = [replace(f, domain=f.domain or domain) for f in findings]
+    findings.extend(check_secret_leakage(view1, requests, analysis.idp, cfg))
+    findings.extend(check_transport(run1, requests, analysis.idp, cfg))
     findings.sort(key=lambda f: (f.rule_id, f.evidence[0].entry_index,
                                  f.evidence[0].spar_path))
     analysis.findings = findings
     return analysis
-
-
-def _visible_token_exchange(trace: Trace, registry: IdpRegistry,
-                            request: SsoMessage) -> bool:
-    """A front-channel response of the login's own IdP token endpoint
-    returning more than asked for."""
-    requested = classify.requested_token_kinds(request)
-    for entry in trace.entries:
-        if registry.match_token(entry.request.url) != request.idp:
-            continue
-        body = entry.response.body
-        mime = (entry.response.body_mime or "").split(";")[0].strip().lower()
-        if not body or mime not in ("application/json", "text/plain", ""):
-            continue
-        try:
-            doc = json.loads(body)
-        except (ValueError, RecursionError):
-            continue
-        if not isinstance(doc, dict):
-            continue
-        if "code" in doc:
-            return True
-        if "id_token" in doc and "id_token" not in requested:
-            return True
-    return False
-

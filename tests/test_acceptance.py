@@ -225,12 +225,11 @@ def test_entropy_oracle():
     state = "83749274"
     bits = security.estimate_entropy(state).bits
     assert abs(bits - 26.58) < 0.01
-    pair = security.LoginPair(request=classify.SsoMessage(
-        kind=classify.KIND_LOGIN_REQUEST, entry_ref=0,
-        ref_kind=classify.REF_ENTRY, channel=classify.CHANNEL_QUERY,
-        idp="Google", params=classify.SsoParams(
+    login = classify.Login(request=classify.SsoMessage(
+        entry_ref=0, ref_kind=classify.REF_ENTRY,
+        channel=classify.CHANNEL_QUERY, idp="Google", params=classify.SsoParams(
             client_id="c", redirect_uri="https://a.example/cb", state=state)))
-    findings = security.check_csrf(pair)
+    findings = security.check_csrf(login, security.RuleConfig())
     assert [f.rule_id for f in findings] == ["csrf.weak"]
     return f"500 samples exact, 8-digit state {bits:.2f} bits flagged"
 

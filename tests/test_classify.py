@@ -32,7 +32,6 @@ def test_detect_login_request_on_idp_endpoint():
     messages = classify.detect_login_requests(classify.decode_trace(trace))
     assert len(messages) == 1
     msg = messages[0]
-    assert msg.kind == classify.KIND_LOGIN_REQUEST
     assert msg.idp == "Google"
     assert msg.channel == classify.CHANNEL_QUERY
     assert msg.params.response_type == "code"
@@ -151,15 +150,75 @@ def test_match_response_via_post_message():
     assert response.channel == classify.CHANNEL_POST_MESSAGE
 
 
-def test_response_to_other_path_is_not_matched():
-    shape = LoginShape(delivery="none")
+def _delivery_trace(redirect_uri, delivered_to):
+    shape = LoginShape(delivery="none", redirect_uri=redirect_uri)
     entries = synth_login_entries(random.Random(1), "shop.example", shape)
-    entries.append(har_entry("https://shop.example/other?code=abc123xyz!",
-                             started_at="2026-01-17T12:00:05Z"))
-    trace = _trace(entries)
-    view = classify.decode_trace(trace)
+    entries.append(har_entry(delivered_to, started_at="2026-01-17T12:00:05Z"))
+    return _trace(entries)
+
+
+# scheme, host and path must equal the redirect_uri's, not merely extend it
+@pytest.mark.parametrize("redirect_uri, delivered_to", [
+    ("https://shop.example/cb", "https://shop.example/other?code=abc123xyz!"),
+    ("https://shop.example/cb", "https://shop.example/cb-evil?code=abc123xyz!"),
+    ("https://shop.example/cb", "https://shop.example/cb/x?code=abc123xyz!"),
+    ("https://shop.example",
+     "https://shop.example.attacker.example/x?code=abc123xyz!"),
+], ids=["other-path", "longer-path", "sub-path", "longer-host"])
+def test_response_to_other_path_is_not_matched(redirect_uri, delivered_to):
+    view = classify.decode_trace(_delivery_trace(redirect_uri, delivered_to))
     (request,) = classify.detect_login_requests(view)
     assert classify.match_login_response(view, request) is None
+
+
+def test_response_to_root_path_matches_empty_path():
+    view = classify.decode_trace(_delivery_trace(
+        "https://shop.example", "https://shop.example/?code=abc123xyz!"))
+    (request,) = classify.detect_login_requests(view)
+    response = classify.match_login_response(view, request)
+    assert response.entry_ref == 2
+    assert classify.classify_returned_flow(response) == classify.FLOW_CODE
+
+
+# ---------------------------------------------------------------------------
+# logins
+
+def _token_endpoint_entry(url):
+    return har_entry(url, started_at="2026-01-17T12:00:05Z",
+                     body_text=json.dumps({"code": "c-1"}),
+                     body_mime="application/json")
+
+
+def test_find_logins_on_a_two_run_unit():
+    entries = synth_login_entries(random.Random(1), "shop.example",
+                                  LoginShape())
+    facebook = _token_endpoint_entry(
+        "https://graph.facebook.com/v19.0/oauth/access_token")
+    google = _token_endpoint_entry("https://oauth2.googleapis.com/token")
+    # run 2 first logs in through another redirect path of the same site
+    detour = synth_login_entries(random.Random(3), "shop.example", LoginShape(
+        redirect_uri="https://shop.example/alt"))
+    run2 = classify.decode_trace(_trace(
+        detour + synth_login_entries(random.Random(2), "shop.example",
+                                     LoginShape())))
+    detour_request, request2 = classify.detect_login_requests(run2)
+    assert detour_request.params.redirect_uri == "https://shop.example/alt"
+
+    (login,) = classify.find_logins(
+        classify.decode_trace(_trace(entries + [facebook])), None, run2)
+    assert (login.request.idp, login.request.params.redirect_uri) == \
+        ("Google", "https://shop.example/cb")
+    assert login.request2 == request2
+    assert login.request2.params.state != login.request.params.state
+    assert login.response.entry_ref == 2
+    assert login.response.params.code is not None
+    # another IdP's token endpoint does not count, the login's own does
+    assert not login.token_exchange_visible
+
+    (login,) = classify.find_logins(
+        classify.decode_trace(_trace(entries + [facebook, google])))
+    assert login.request2 is None
+    assert login.token_exchange_visible
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +227,8 @@ def test_response_to_other_path_is_not_matched():
 def test_protocol_oidc_signals():
     def req(scope=None, response_type="code"):
         return classify.SsoMessage(
-            kind=classify.KIND_LOGIN_REQUEST, entry_ref=0,
-            ref_kind=classify.REF_ENTRY, channel=classify.CHANNEL_QUERY,
-            idp="Google",
+            entry_ref=0, ref_kind=classify.REF_ENTRY,
+            channel=classify.CHANNEL_QUERY, idp="Google",
             params=classify.SsoParams(scope=scope,
                                       response_type=response_type))
 
@@ -203,8 +261,8 @@ def test_requested_flow_truth_table():
 def test_returned_flow_from_params():
     def resp(**params):
         return classify.SsoMessage(
-            kind=classify.KIND_LOGIN_RESPONSE, entry_ref=0,
-            ref_kind=classify.REF_ENTRY, channel=classify.CHANNEL_QUERY,
+            entry_ref=0, ref_kind=classify.REF_ENTRY,
+            channel=classify.CHANNEL_QUERY,
             idp="Google", params=classify.SsoParams(**params))
 
     assert classify.classify_returned_flow(None) == "unknown"

@@ -111,19 +111,6 @@ def test_extract_with_custom_keywords():
     assert hit.matched_keyword == "enter via github"
 
 
-def test_keyword_config_from_json():
-    config = KeywordConfig.from_json(
-        '{"idp_names": ["okta"], "extra_phrases": [["use okta", "okta"]]}')
-    assert config.idp_names == ("okta",)
-    assert ("use okta", "okta") in config.phrases()
-    with pytest.raises(MalformedInput):
-        KeywordConfig.from_json("[1, 2]")
-    with pytest.raises(MalformedInput):
-        KeywordConfig.from_json("{nope")
-    with pytest.raises(MalformedInput):
-        KeywordConfig.from_json("[" * 100_000 + "]" * 100_000)
-
-
 # ---------------------------------------------------------------------------
 # scan records
 

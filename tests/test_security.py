@@ -28,10 +28,12 @@ def _login_trace(shape=LoginShape(), seed=1, domain="shop.example"):
                   domain=domain)
 
 
-def _msg(kind=classify.KIND_LOGIN_REQUEST, channel=classify.CHANNEL_QUERY,
-         entry_ref=1, **params):
+CFG = security.RuleConfig()
+
+
+def _msg(channel=classify.CHANNEL_QUERY, entry_ref=1, **params):
     return classify.SsoMessage(
-        kind=kind, entry_ref=entry_ref, ref_kind=classify.REF_ENTRY,
+        entry_ref=entry_ref, ref_kind=classify.REF_ENTRY,
         channel=channel, idp="Google", params=classify.SsoParams(**params))
 
 
@@ -42,7 +44,11 @@ def _request(**params):
 
 
 def _response(**params):
-    return _msg(kind=classify.KIND_LOGIN_RESPONSE, entry_ref=2, **params)
+    return _msg(entry_ref=2, **params)
+
+
+def _login(request, response=None, **kwargs):
+    return classify.Login(request=request, response=response, **kwargs)
 
 
 def _rule_ids(findings):
@@ -91,49 +97,49 @@ def test_estimate_entropy_uses_best_leaf_of_structure():
 # CSRF rules
 
 def test_csrf_missing_when_all_parameters_absent():
-    pair = security.LoginPair(request=_request(response_type="code"))
-    findings = security.check_csrf(pair)
+    login = classify.Login(request=_request(response_type="code"))
+    findings = security.check_csrf(login, CFG)
     assert _rule_ids(findings) == ["csrf.missing"]
     assert findings[0].category == "vulnerability"
 
 
 def test_csrf_weak_on_short_digit_state():
-    pair = security.LoginPair(request=_request(state="83749274"))
-    findings = security.check_csrf(pair)
+    login = classify.Login(request=_request(state="83749274"))
+    findings = security.check_csrf(login, CFG)
     assert _rule_ids(findings) == ["csrf.weak"]
     assert "26.58" in findings[0].message
 
 
 def test_csrf_strong_state_passes():
-    pair = security.LoginPair(request=_request(state="f" * 16 + "0a1b2c3d" * 3))
-    assert security.check_csrf(pair) == []
+    login = classify.Login(request=_request(state="f" * 16 + "0a1b2c3d" * 3))
+    assert security.check_csrf(login, CFG) == []
 
 
 def test_csrf_static_state_is_weak_even_when_long():
     strong = "c0ffee" * 8
-    pair = security.LoginPair(request=_request(state=strong),
-                              request2=_request(state=strong))
-    findings = security.check_csrf(pair)
+    login = classify.Login(request=_request(state=strong),
+                           request2=_request(state=strong))
+    findings = security.check_csrf(login, CFG)
     assert _rule_ids(findings) == ["csrf.weak"]
     assert "repeats across recordings" in findings[0].message
 
 
 def test_csrf_pkce_suppression_and_override():
-    pair = security.LoginPair(request=_request(code_challenge="ab1"))
-    assert security.check_csrf(pair) == []
+    login = classify.Login(request=_request(code_challenge="ab1"))
+    assert security.check_csrf(login, CFG) == []
 
     cfg = security.RuleConfig(treat_pkce_as_csrf_protection=False)
-    findings = security.check_csrf(pair, cfg)
+    findings = security.check_csrf(login, cfg)
     assert _rule_ids(findings) == ["csrf.weak"]
 
 
 def test_csrf_threshold_is_inclusive_and_configurable():
     state = "a1" * 12  # 24 hex chars, exactly 96.0 bits
-    pair = security.LoginPair(request=_request(state=state))
+    login = classify.Login(request=_request(state=state))
     # a value sitting exactly on the threshold still counts as guessable
-    assert _rule_ids(security.check_csrf(pair)) == ["csrf.weak"]
+    assert _rule_ids(security.check_csrf(login, CFG)) == ["csrf.weak"]
     cfg = security.RuleConfig(entropy_threshold_bits=95.0)
-    assert security.check_csrf(pair, cfg) == []
+    assert security.check_csrf(login, cfg) == []
 
 
 # ---------------------------------------------------------------------------
@@ -142,48 +148,48 @@ def test_csrf_threshold_is_inclusive_and_configurable():
 def test_obsolete_flow_on_returned_implicit():
     request = _request(response_type="token")
     response = _response(access_token="t0k3n!")
-    findings = security.check_obsolete_flow(request, response)
+    findings = security.check_obsolete_flow(_login(request, response), CFG)
     assert _rule_ids(findings) == ["flow.obsolete"]
 
 
 def test_obsolete_flow_on_hybrid_with_access_token():
     request = _request(response_type="code token")
     response = _response(code="c!", access_token="t!")
-    assert _rule_ids(security.check_obsolete_flow(request, response)) == \
-        ["flow.obsolete"]
+    findings = security.check_obsolete_flow(_login(request, response), CFG)
+    assert _rule_ids(findings) == ["flow.obsolete"]
 
 
 def test_hybrid_without_access_token_is_not_obsolete():
     request = _request(response_type="code id_token")
     response = _response(code="c!", id_token="i.j.k")
-    assert security.check_obsolete_flow(request, response) == []
-    assert security.check_obsolete_flow(request, None) == []
+    assert security.check_obsolete_flow(_login(request, response), CFG) == []
+    assert security.check_obsolete_flow(_login(request), CFG) == []
 
 
 def test_protocol_mixup_id_token_without_openid_scope():
     request = _request(response_type="code id_token", scope="email")
     response = _response(code="c!", id_token="i.j.k")
-    findings = security.check_mixups(request, response)
+    findings = security.check_mixups(_login(request, response), CFG)
     assert "protocol.mixup" in _rule_ids(findings)
 
     request_ok = _request(response_type="code id_token", scope="openid email")
     assert "protocol.mixup" not in _rule_ids(
-        security.check_mixups(request_ok, response))
+        security.check_mixups(_login(request_ok, response), CFG))
 
 
 def test_flow_mixup_on_extra_returned_tokens():
     request = _request(response_type="code", scope="openid")
     response = _response(code="c!", id_token="i.j.k")
-    findings = security.check_mixups(request, response)
+    findings = security.check_mixups(_login(request, response), CFG)
     assert _rule_ids(findings) == ["flow.mixup"]
 
 
 def test_flow_mixup_on_visible_token_exchange():
     request = _request(response_type="code", scope="openid")
     response = _response(code="c!")
-    assert security.check_mixups(request, response) == []
-    findings = security.check_mixups(request, response,
-                                     token_exchange_visible=True)
+    assert security.check_mixups(_login(request, response), CFG) == []
+    login = _login(request, response, token_exchange_visible=True)
+    findings = security.check_mixups(login, CFG)
     assert _rule_ids(findings) == ["flow.mixup"]
 
 
@@ -209,8 +215,8 @@ def test_flow_mixup_token_exchange_is_scoped_to_the_login_idp():
 def test_no_mixup_when_flows_agree():
     request = _request(response_type="code", scope="openid")
     response = _response(code="c!")
-    assert security.check_mixups(request, response) == []
-    assert security.check_mixups(request, None) == []
+    assert security.check_mixups(_login(request, response), CFG) == []
+    assert security.check_mixups(_login(request), CFG) == []
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +225,15 @@ def test_no_mixup_when_flows_agree():
 def test_open_redirect_nested_url():
     request = _request(
         redirect_uri="https://shop.example/cb?next=https%3A%2F%2Fevil.example%2F")
-    findings = security.check_open_redirect(request)
+    findings = security.check_open_redirect(_login(request), CFG)
     assert _rule_ids(findings) == ["redirect.nested-url"]
     assert findings[0].evidence[0].excerpt == "https://evil.example/"
 
 
 def test_open_redirect_ignores_plain_redirect_uri():
-    assert security.check_open_redirect(_request()) == []
+    assert security.check_open_redirect(_login(_request()), CFG) == []
     no_uri = _msg(client_id="x")
-    assert security.check_open_redirect(no_uri) == []
+    assert security.check_open_redirect(_login(no_uri), CFG) == []
 
 
 # ---------------------------------------------------------------------------
@@ -236,53 +242,63 @@ def test_open_redirect_ignores_plain_redirect_uri():
 def test_code_unprotected_without_pkce_or_nonce():
     request = _request(response_type="code")
     response = _response(code="c!")
-    findings = security.check_injection_protection(request, response)
+    def check(request, response=None):
+        return security.check_injection_protection(_login(request, response),
+                                                   CFG)
+
+    findings = check(request, response)
     assert _rule_ids(findings) == ["inject.code-unprotected"]
 
     shielded = _request(response_type="code", nonce="n0nce!")
-    assert security.check_injection_protection(shielded, response) == []
+    assert check(shielded, response) == []
     pkce = _request(response_type="code", code_challenge="ch")
-    assert security.check_injection_protection(pkce, response) == []
-    assert security.check_injection_protection(request, None) == []
+    assert check(pkce, response) == []
+    assert check(request) == []
 
 
 def test_at_hash_missing_when_tokens_travel_together():
     request = _request(response_type="token id_token")
     bare = make_id_token("RS256", {"sub": "1"})
     response = _response(access_token="t!", id_token=bare)
-    findings = security.check_injection_protection(request, response)
+    def check(response):
+        return security.check_injection_protection(_login(request, response),
+                                                   CFG)
+
+    findings = check(response)
     assert _rule_ids(findings) == ["inject.at-hash-missing"]
 
     bound = make_id_token("RS256", {"sub": "1", "at_hash": "xyz"})
     response_ok = _response(access_token="t!", id_token=bound)
-    assert security.check_injection_protection(request, response_ok) == []
+    assert check(response_ok) == []
 
     # an unparseable id_token is the malformed rule's business, not this one
     response_bad = _response(access_token="t!", id_token="garbage")
-    assert security.check_injection_protection(request, response_bad) == []
+    assert check(response_bad) == []
 
 
 # ---------------------------------------------------------------------------
 # id_token algorithm
 
 def test_id_token_alg_rules():
-    assert security.check_id_token_alg(None) == []
-    assert security.check_id_token_alg(_response(code="c!")) == []
+    def check(response):
+        return security.check_id_token_alg(_login(_request(), response), CFG)
+
+    assert check(None) == []
+    assert check(_response(code="c!")) == []
 
     rs = _response(id_token=make_id_token("RS256", {"sub": "1"}))
-    assert security.check_id_token_alg(rs) == []
+    assert check(rs) == []
 
     hs = _response(id_token=make_id_token("HS256", {"sub": "1"}))
-    findings = security.check_id_token_alg(hs)
+    findings = check(hs)
     assert _rule_ids(findings) == ["idtoken.symmetric-alg"]
     assert findings[0].category == "vulnerability"
 
     unsigned = _response(id_token=make_id_token("none", {"sub": "1"}))
-    assert _rule_ids(security.check_id_token_alg(unsigned)) == \
-        ["idtoken.alg-none"]
+    assert _rule_ids(check(unsigned)) == ["idtoken.alg-none"]
 
     broken = _response(id_token="three.dot separated.but not base64url!")
-    findings = security.check_id_token_alg(broken)
+    findings = check(broken)
     assert _rule_ids(findings) == ["idtoken.malformed"]
     assert findings[0].category == "potential-issue"
 
@@ -294,7 +310,8 @@ def test_client_secret_in_query_is_flagged():
     url = "https://accounts.google.com/o/oauth2/v2/auth?" + spar.encode_form([
         ("client_id", "c"), ("client_secret", "s3cr3t!")])
     trace = _trace([har_entry(url)])
-    findings = security.check_secret_leakage(classify.decode_trace(trace), [])
+    findings = security.check_secret_leakage(classify.decode_trace(trace), [],
+                                             "Google", CFG)
     assert _rule_ids(findings) == ["secret.client-secret-fc"]
     assert findings[0].evidence[0].excerpt == "s3cr3t!"
 
@@ -304,13 +321,13 @@ def test_client_secret_in_post_body_is_back_channel():
                       post_mime="application/x-www-form-urlencoded",
                       post_text="grant_type=authorization_code&client_secret=s")
     assert security.check_secret_leakage(
-        classify.decode_trace(_trace([entry])), []) == []
+        classify.decode_trace(_trace([entry])), [], "Google", CFG) == []
 
 
 def test_referer_leak_to_third_party():
     view = classify.decode_trace(_login_trace(LoginShape(referer_leak=True)))
     messages = classify.detect_login_requests(view)
-    findings = security.check_secret_leakage(view, messages)
+    findings = security.check_secret_leakage(view, messages, "Google", CFG)
     assert _rule_ids(findings) == ["secret.referer-leak"]
     assert findings[0].category == "vulnerability"
 
@@ -328,7 +345,7 @@ def test_referer_to_first_party_or_idp_is_fine():
         started_at="2026-01-17T12:00:05Z"))
     view = classify.decode_trace(_trace(entries))
     messages = classify.detect_login_requests(view)
-    assert security.check_secret_leakage(view, messages) == []
+    assert security.check_secret_leakage(view, messages, "Google", CFG) == []
 
 
 def test_token_in_url_query_only():
@@ -341,7 +358,7 @@ def test_token_in_url_query_only():
                   started_at="2026-01-17T12:00:02Z"),
     ]
     findings = security.check_secret_leakage(
-        classify.decode_trace(_trace(entries)), [])
+        classify.decode_trace(_trace(entries)), [], "Google", CFG)
     assert _rule_ids(findings) == ["secret.token-in-url"]
     # one finding, one evidence item per offending entry, fragments exempt
     assert len(findings[0].evidence) == 2
@@ -354,7 +371,7 @@ def test_token_in_url_query_only():
 def test_plain_redirect_uri_is_vulnerability():
     trace = _trace([har_entry("https://shop.example/login")])
     msg = _request(redirect_uri="http://shop.example/cb")
-    findings = security.check_transport(trace, [msg])
+    findings = security.check_transport(trace, [msg], "Google", CFG)
     assert _rule_ids(findings) == ["tls.plain-redirect-uri"]
     assert findings[0].category == "vulnerability"
 
@@ -363,8 +380,8 @@ def test_loopback_redirect_uri_is_exempt():
     trace = _trace([har_entry("https://shop.example/login")])
     for uri in ("http://127.0.0.1:8123/cb", "http://localhost/cb",
                 "http://[::1]/cb"):
-        assert security.check_transport(trace, [_request(redirect_uri=uri)]) \
-            == []
+        request = _request(redirect_uri=uri)
+        assert security.check_transport(trace, [request], "Google", CFG) == []
 
 
 def test_plain_request_entries_are_flagged():
@@ -373,7 +390,7 @@ def test_plain_request_entries_are_flagged():
         har_entry("http://shop.example/metrics",
                   started_at="2026-01-17T12:00:01Z"),
     ]
-    findings = security.check_transport(_trace(entries), [])
+    findings = security.check_transport(_trace(entries), [], "Google", CFG)
     assert _rule_ids(findings) == ["tls.plain-request"]
     assert findings[0].evidence[0].entry_index == 1
 
@@ -382,17 +399,19 @@ def test_307_relay_of_token_bearing_redirect():
     relay = har_entry("https://accounts.google.com/o/oauth2/v2/auth",
                       status=307,
                       location="https://shop.example/cb#code=abc!&state=s")
-    findings = security.check_transport(_trace([relay]), [])
+    findings = security.check_transport(_trace([relay]), [], "Google", CFG)
     assert _rule_ids(findings) == ["redirect.307-authz-response"]
 
     benign = har_entry("https://accounts.google.com/o/oauth2/v2/auth",
                        status=307, location="https://shop.example/start")
-    assert security.check_transport(_trace([benign]), []) == []
+    assert security.check_transport(_trace([benign]), [], "Google",
+                                    CFG) == []
 
     ordinary = har_entry("https://accounts.google.com/o/oauth2/v2/auth",
                          status=302,
                          location="https://shop.example/cb#code=abc!")
-    assert security.check_transport(_trace([ordinary]), []) == []
+    assert security.check_transport(_trace([ordinary]), [], "Google",
+                                    CFG) == []
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +446,8 @@ def test_run_all_fills_domain_and_sorts_findings():
     analysis = security.run_all(_login_trace(shape, seed=1),
                                 _login_trace(shape, seed=2))
     assert analysis.domain == "shop.example"
-    assert all(f.domain == "shop.example" for f in analysis.findings)
+    assert all(f["domain"] == "shop.example"
+               for f in analysis.to_dict()["findings"])
     assert _rule_ids(analysis.findings) == ["csrf.weak", "tls.plain-request"]
     assert analysis.rule_ids() == {"csrf.weak", "tls.plain-request"}
 
@@ -441,17 +461,37 @@ def test_run_all_is_deterministic():
     assert first.to_dict() == second.to_dict()
 
 
-def test_run_all_survives_a_crashing_rule(monkeypatch):
-    def boom(pair, cfg=None):
+# a login on which every per-login rule group reports exactly one rule
+_EVERY_GROUP_FIRES = LoginShape(
+    response_type="token id_token", scope="email", state_kind="weak",
+    pkce=False, delivery="fragment", id_token="hs256",
+    include_access_token=True,
+    redirect_uri="https://shop.example/cb?next=https%3A%2F%2Fevil.example%2F")
+
+
+@pytest.mark.parametrize("group", [name for name, _ in security.LOGIN_RULES])
+def test_run_all_survives_a_crashing_rule(monkeypatch, group):
+    def boom(login, cfg):
         raise RuntimeError("rule exploded")
 
-    monkeypatch.setattr(security, "check_csrf", boom)
-    analysis = security.run_all(_login_trace())
-    assert "analyzer.error" in analysis.rule_ids()
+    trace = _login_trace(_EVERY_GROUP_FIRES)
+    (login,) = classify.find_logins(classify.decode_trace(trace))
+    own = {name: {f.rule_id for f in rule(login, CFG)}
+           for name, rule in security.LOGIN_RULES}
+    assert all(len(rule_ids) == 1 for rule_ids in own.values())
+    intact = security.run_all(trace).rule_ids()
+
+    # run_all reads the table, not the module's check_x names
+    monkeypatch.setattr(security, "LOGIN_RULES", tuple(
+        (name, boom if name == group else rule)
+        for name, rule in security.LOGIN_RULES))
+    analysis = security.run_all(trace)
     (finding,) = [f for f in analysis.findings
                   if f.rule_id == "analyzer.error"]
+    assert finding.evidence[0].spar_path == group
     assert "rule exploded" in finding.message
     assert finding.category == "potential-issue"
+    assert analysis.rule_ids() - {"analyzer.error"} == intact - own[group]
 
 
 @pytest.mark.parametrize("redirect_uri", ["https://shop.example:99999/cb",
@@ -518,7 +558,7 @@ def test_rule_catalog_covers_every_rule():
 def test_catalog_categories_match_emitted_findings():
     def finding(rule_id):
         return security.Finding(
-            rule_id=rule_id, idp="google", domain="shop.example",
+            rule_id=rule_id, idp="google",
             evidence=(security.Evidence(0, "url", "x"),), message="m")
 
     assert finding("csrf.missing").category == "vulnerability"
