@@ -1,10 +1,16 @@
 """Command line interface.
 
 Subcommands: ``analyze`` and ``privacy`` walk a trace directory, ``spar``
-decodes one value, ``landscape`` handles scan records, ``report render``
-re-renders a stored report.  Exit codes: 0 completed without vulnerability
-findings, 2 completed with at least one vulnerability finding, 1
-operational error.
+decodes one value, ``landscape`` builds login-page queries and diffs scan
+records, ``report render`` re-renders a stored report.
+
+A trace directory holds one unit per ``<domain>/<idp>`` directory.  A unit
+that cannot be read or analyzed is left out of the report and named, with
+its error message, in the report's ``errors`` list; the other units are
+reported as if it were absent.  Exit codes: 0 completed without
+vulnerability findings, 2 completed with at least one vulnerability
+finding, 1 operational error: bad configuration or registry, no trace
+directory, or units of which none could be analyzed.
 """
 
 from __future__ import annotations
@@ -20,12 +26,11 @@ from . import landscape as landscape_mod
 from . import privacy as privacy_mod
 from . import report as report_mod
 from . import security, spar
-from .classify import IdpRegistry, decode_trace, default_registry, load_registry
-from .exceptions import AuditError, MalformedInput
-from .trace import (
-    PROFILE_CONSENT_VISIT, PROFILE_NO_CONSENT_VISIT, Trace, load_json,
-    parse_trace_bundle,
+from .classify import (
+    IdpRegistry, decode_trace, default_registry, find_logins, load_registry,
 )
+from .exceptions import AuditError, MalformedInput
+from .trace import Trace, load_json, parse_trace_bundle
 
 CONFIG_ENV_VAR = "SSO_AUDITOR_CONFIG"
 
@@ -33,10 +38,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_VULNERABLE = 2
 
-_PROFILE_DIRS = {
-    "consent": PROFILE_CONSENT_VISIT,
-    "noconsent": PROFILE_NO_CONSENT_VISIT,
-}
+# the visit bundles of a privacy unit, in the order they are read
+_VISIT_DIRS = ("consent", "noconsent")
 
 
 def entry() -> None:
@@ -51,11 +54,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         return args.func(args)
-    except AuditError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AuditError, OSError) as exc:
+        _print_err(str(exc))
         return EXIT_ERROR
 
 
@@ -161,13 +161,9 @@ def _load_config(args) -> tuple[security.RuleConfig, IdpRegistry, str]:
                                       or "\0" in registry_path):
         raise MalformedInput(f"idp_registry must be a path string, "
                              f"got {registry_path!r}")
-    if registry_path:
-        registry = load_registry(Path(registry_path).read_bytes())
-        source = str(registry_path)
-    else:
-        registry = default_registry()
-        source = "built-in"
-    return cfg, registry, source
+    if not registry_path:
+        return cfg, default_registry(), "built-in"
+    return cfg, load_registry(Path(registry_path).read_bytes()), registry_path
 
 
 def _budget(name: str, value: object) -> int:
@@ -180,70 +176,95 @@ def _budget(name: str, value: object) -> int:
 # ---------------------------------------------------------------------------
 # trace directory walking
 
-def _read_bundle(bundle_dir: Path) -> Trace:
-    har_path = bundle_dir / "trace.har"
-    meta_path = bundle_dir / "meta.json"
-    ibc_path = bundle_dir / "ibc.json"
-    if not har_path.is_file():
-        raise MalformedInput(f"no trace.har in {bundle_dir}")
-    if not meta_path.is_file():
-        raise MalformedInput(f"no meta.json in {bundle_dir}")
-    ibc = ibc_path.read_bytes() if ibc_path.is_file() else None
-    return parse_trace_bundle(har_path.read_bytes(), meta_path.read_bytes(), ibc)
+def _read_bundle(unit_dir: Path, name: str) -> Trace:
+    """The trace bundle ``<unit_dir>/<name>``.  Errors name its files relative
+    to the unit, so they do not depend on the trace directory's path."""
+    bundle_dir = unit_dir / name
+
+    def read(file: str) -> bytes:
+        try:
+            return (bundle_dir / file).read_bytes()
+        except OSError as exc:
+            raise MalformedInput(
+                f"cannot read {name}/{file}: {exc.strerror}") from exc
+
+    for file in ("trace.har", "meta.json"):
+        if not (bundle_dir / file).is_file():
+            raise MalformedInput(f"no {file} in {name}")
+    ibc = read("ibc.json") if (bundle_dir / "ibc.json").is_file() else None
+    return parse_trace_bundle(read("trace.har"), read("meta.json"), ibc)
 
 
-def _unit_dirs(root: Path) -> list[Path]:
-    """<root>/<domain>/<idp> directories, in sorted order."""
+def _each_unit(root: Path, analyze_unit) -> tuple[list, list, list[dict]]:
+    """Run ``analyze_unit(idp_dir) -> (traces read, result)`` on each
+    <root>/<domain>/<idp> directory, in sorted order.
+
+    Returns the results and the capture times of the traces of the units
+    that succeeded, and ``{"unit", "error"}`` for each unit that raised, in
+    unit order.  When every unit raised, the first error is raised instead.
+    """
     if not root.is_dir():
         raise MalformedInput(f"not a directory: {root}")
-    return [idp_dir
-            for domain_dir in sorted(p for p in root.iterdir() if p.is_dir())
-            for idp_dir in sorted(p for p in domain_dir.iterdir() if p.is_dir())]
+    units = [idp_dir
+             for domain_dir in sorted(p for p in root.iterdir() if p.is_dir())
+             for idp_dir in sorted(p for p in domain_dir.iterdir() if p.is_dir())]
+    results, captured, errors = [], [], []
+    for idp_dir in units:
+        try:
+            traces, result = analyze_unit(idp_dir)
+        except (AuditError, OSError) as exc:
+            errors.append({"unit": f"{idp_dir.parent.name}/{idp_dir.name}",
+                           "error": str(exc)})
+            continue
+        results.append(result)
+        captured += [trace.metadata.captured_at for trace in traces]
+    if units and len(errors) == len(units):
+        raise AuditError(f"{errors[0]['unit']}: {errors[0]['error']}")
+    return results, captured, errors
 
 
 def _cmd_analyze(args) -> int:
     # one thread: the work is pure Python and holds the GIL throughout
     cfg, registry, source = _load_config(args)
-    captured = []
-    analyses = []
-    for idp_dir in _unit_dirs(Path(args.trace_dir)):
-        run1_dir = idp_dir / "run1"
-        run2_dir = idp_dir / "run2"
-        if not run1_dir.is_dir():
-            raise MalformedInput(f"no run1 directory in {idp_dir}")
-        run1 = _read_bundle(run1_dir)
-        run2 = _read_bundle(run2_dir) if run2_dir.is_dir() else None
-        captured += [trace.metadata.captured_at for trace in (run1, run2)
-                     if trace is not None]
-        analyses.append(security.run_all(run1, run2, cfg, registry))
 
-    report = report_mod.build_report(security=analyses, cfg=cfg,
+    def analyze_unit(idp_dir: Path):
+        # a missing run1 fails in _read_bundle like a missing trace.har
+        run1 = _read_bundle(idp_dir, "run1")
+        run2 = (_read_bundle(idp_dir, "run2") if (idp_dir / "run2").is_dir()
+                else None)
+        traces = [trace for trace in (run1, run2) if trace is not None]
+        return traces, security.run_all(run1, run2, cfg, registry)
+
+    analyses, captured, errors = _each_unit(Path(args.trace_dir), analyze_unit)
+    report = report_mod.build_report(security=analyses, errors=errors, cfg=cfg,
                                      registry_source=source,
                                      generated_at=max(captured, default=None))
     _emit(report_mod.render_report(report, args.format), args.out)
-    if report_mod.report_vulnerability_count(report) > 0:
-        return EXIT_VULNERABLE
-    return EXIT_OK
+    return (EXIT_VULNERABLE if report_mod.report_vulnerability_count(report)
+            else EXIT_OK)
 
 
 def _cmd_privacy(args) -> int:
     cfg, registry, source = _load_config(args)
-    findings = []
-    captured = []
-    for idp_dir in _unit_dirs(Path(args.trace_dir)):
-        for profile_dir_name in sorted(_PROFILE_DIRS):
-            bundle_dir = idp_dir / profile_dir_name
-            if not bundle_dir.is_dir():
-                continue
-            trace = _read_bundle(bundle_dir)
-            captured.append(trace.metadata.captured_at)
-            view = decode_trace(trace, cfg.max_spar_depth, cfg.max_spar_nodes)
-            findings.extend(privacy_mod.detect_lal(view, registry))
-            findings.extend(privacy_mod.detect_tel(view, registry))
 
+    def analyze_unit(idp_dir: Path):
+        traces, findings = [], []
+        for dir_name in _VISIT_DIRS:
+            if not (idp_dir / dir_name).is_dir():
+                continue
+            trace = _read_bundle(idp_dir, dir_name)
+            traces.append(trace)
+            view = decode_trace(trace, cfg.max_spar_depth, cfg.max_spar_nodes)
+            logins = find_logins(view, registry)
+            findings += privacy_mod.detect_lal(view, logins)
+            findings += privacy_mod.detect_tel(view, logins, registry)
+        return traces, findings
+
+    per_unit, captured, errors = _each_unit(Path(args.trace_dir), analyze_unit)
+    findings = [finding for unit in per_unit for finding in unit]
     table = privacy_mod.aggregate_privacy(findings)
     table["findings"] = [asdict(f) for f in findings]
-    report = report_mod.build_report(privacy=table, cfg=cfg,
+    report = report_mod.build_report(privacy=table, errors=errors, cfg=cfg,
                                      registry_source=source,
                                      generated_at=max(captured, default=None))
     _emit(report_mod.render_report(report, args.format), args.out)

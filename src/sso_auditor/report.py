@@ -2,8 +2,11 @@
 
 Reports are plain dictionaries with a pinned schema version and a stable
 field set, serialized as canonical JSON (sorted keys) so identical inputs
-produce identical bytes.  The Markdown renderer summarizes findings per
-identity provider in the columns that ``data/rules.json`` assigns to rules.
+produce identical bytes.  The Markdown renderer derives every table from
+the stored rows, so a stored report re-renders to the same Markdown: per
+identity provider, findings in the columns that ``data/rules.json`` assigns
+to rules, privacy leaks, the SSO landscape (websites and logins by
+protocol and requested flow), and the units that could not be analyzed.
 """
 
 from __future__ import annotations
@@ -13,11 +16,15 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
+from .classify import (
+    FLOW_CODE, FLOW_HYBRID, FLOW_IMPLICIT, FLOW_UNKNOWN, PROTOCOL_OAUTH2,
+    PROTOCOL_OIDC,
+)
 from .exceptions import UnknownFormat
 from .security import RULES, RuleConfig, SecurityAnalysis
 from .trace import format_timestamp
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 FORMAT_JSON = "json"
 FORMAT_MARKDOWN = "markdown"
@@ -29,10 +36,18 @@ SUMMARY_COLUMNS: dict[str, str] = {
 }
 _SUMMARY_LABELS = tuple(dict.fromkeys(SUMMARY_COLUMNS.values()))
 
+# Markdown landscape columns: (header, login row field, value counted)
+_LANDSCAPE_COLUMNS = (
+    ("OAuth 2.0", "protocol", PROTOCOL_OAUTH2),
+    ("OIDC", "protocol", PROTOCOL_OIDC),
+    *((flow, "requested_flow", flow)
+      for flow in (FLOW_CODE, FLOW_HYBRID, FLOW_IMPLICIT, FLOW_UNKNOWN)),
+)
+
 
 def build_report(security: list[SecurityAnalysis] | None = None,
                  privacy: dict | None = None,
-                 landscape: dict | None = None,
+                 errors: list[dict] | None = None,
                  cfg: RuleConfig | None = None,
                  registry_source: str = "built-in",
                  generated_at: datetime | None = None) -> dict:
@@ -47,7 +62,7 @@ def build_report(security: list[SecurityAnalysis] | None = None,
         "config": {**asdict(cfg), "idp_registry": registry_source},
         "security": [fragment.to_dict() for fragment in fragments],
         "privacy": privacy,
-        "landscape": landscape,
+        "errors": errors or [],
     }
 
 
@@ -104,20 +119,45 @@ def _render_markdown(report: dict) -> str:
             [[label, *(row.get(profile, {}).get(kind, 0)
                        for profile, kind in keys)] for label, row in rows])
 
-    landscape_table = report.get("landscape")
-    if landscape_table:
-        keys = ("sso_logins", "oauth2", "oidc", "code", "hybrid", "implicit",
-                "unknown")
-        rows = [(row.get("idp", "?"), row)
-                for row in landscape_table.get("rows", [])]
-        rows.append(("Total", landscape_table.get("totals", {})))
-        lines += ["", "# SSO landscape", ""]
+    lines += _landscape_table(report.get("security", []))
+
+    errors = report.get("errors")
+    if errors:
+        lines += ["", "# Skipped units", ""]
         lines += markdown_table(
-            ["IdP", "Logins", "OAuth 2.0", "OIDC", "code", "hybrid",
-             "implicit", "unknown"],
-            [[label, *(row.get(key, 0) for key in keys)] for label, row in rows])
+            ["Unit", "Error"],
+            [[_cell(error.get("unit", "?")), _cell(error.get("error", "?"))]
+             for error in errors])
 
     return "\n".join(lines) + "\n"
+
+
+def _landscape_table(fragments: list[dict]) -> list[str]:
+    """The "SSO landscape" section, counted from the fragments' ``logins``
+    rows; no lines when there are none."""
+    logins = [(login.get("idp", "unknown"), fragment.get("domain"), login)
+              for fragment in fragments for login in fragment.get("logins", [])]
+    if not logins:
+        return []
+
+    def row(label: str, group: list[tuple]) -> list[object]:
+        return [label, len({domain for _, domain, _ in group}), len(group),
+                *(sum(login.get(key) == value for _, _, login in group)
+                  for _, key, value in _LANDSCAPE_COLUMNS)]
+
+    header = ["IdP", "Websites", "Logins",
+              *(label for label, _, _ in _LANDSCAPE_COLUMNS)]
+    idps = sorted({idp for idp, _, _ in logins})
+    return ["", "# SSO landscape", ""] + markdown_table(
+        header,
+        [row(idp, [entry for entry in logins if entry[0] == idp])
+         for idp in idps] + [row("Total", logins)])
+
+
+def _cell(text: object) -> str:
+    """Outside text (a directory name, an error message) as one table cell:
+    on one line, with ``|`` escaped."""
+    return " ".join(str(text).split()).replace("|", "\\|")
 
 
 def markdown_table(header: list[str], rows: list[list[object]]) -> list[str]:

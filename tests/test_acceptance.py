@@ -342,23 +342,26 @@ def test_privacy_profile_gating(tmp_path):
             ibc_path.read_bytes() if ibc_path.is_file() else None))
 
     noconsent = bundle("noconsent")
-    lal = privacy.detect_lal(noconsent)
-    tel = privacy.detect_tel(noconsent)
+    logins = classify.find_logins(noconsent)
+    lal = privacy.detect_lal(noconsent, logins)
+    tel = privacy.detect_tel(noconsent, logins)
     assert [f.kind for f in lal] == ["LAL"]
     assert tel == [], "TEL must stay silent without consent"
 
     consent = bundle("consent")
-    assert [f.kind for f in privacy.detect_lal(consent)] == ["LAL"]
-    assert [f.kind for f in privacy.detect_tel(consent)] == ["TEL"]
+    logins = classify.find_logins(consent)
+    assert [f.kind for f in privacy.detect_lal(consent, logins)] == ["LAL"]
+    assert [f.kind for f in privacy.detect_tel(consent, logins)] == ["TEL"]
 
     login_har = json.dumps(build_har([har_entry("https://a.example/")]))
     login_meta = json.dumps(build_meta("a.example"))  # login-run profile
     login_trace = classify.decode_trace(
         parse_trace_bundle(login_har.encode(), login_meta.encode()))
+    logins = classify.find_logins(login_trace)
     with pytest.raises(ProfileMismatch):
-        privacy.detect_lal(login_trace)
+        privacy.detect_lal(login_trace, logins)
     with pytest.raises(ProfileMismatch):
-        privacy.detect_tel(login_trace)
+        privacy.detect_tel(login_trace, logins)
     return "LAL-only without consent, LAL+TEL with consent, login runs refused"
 
 

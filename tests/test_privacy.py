@@ -31,17 +31,26 @@ def _login_run_trace():
     return parse_trace_bundle(har.encode(), meta.encode())
 
 
+def _lal(trace):
+    view = classify.decode_trace(trace)
+    return privacy.detect_lal(view, classify.find_logins(view))
+
+
+def _tel(trace):
+    view = classify.decode_trace(trace)
+    return privacy.detect_tel(view, classify.find_logins(view))
+
+
 def test_detectors_reject_login_runs():
     trace = _login_run_trace()
     with pytest.raises(ProfileMismatch):
-        privacy.detect_lal(classify.decode_trace(trace))
+        _lal(trace)
     with pytest.raises(ProfileMismatch):
-        privacy.detect_tel(classify.decode_trace(trace))
+        _tel(trace)
 
 
 def test_lal_fires_on_widget_probe_without_consent():
-    findings = privacy.detect_lal(
-        classify.decode_trace(_visit_trace(consented=False)))
+    findings = _lal(_visit_trace(consented=False))
     assert len(findings) == 1
     finding = findings[0]
     assert finding.kind == privacy.LEAK_LAL
@@ -62,18 +71,15 @@ def test_lal_deduplicates_per_provider():
     meta = json.dumps(build_meta("news.example",
                                  profile_kind="no-consent-visit")).encode()
     doubled = parse_trace_bundle(har, meta)
-    assert len(privacy.detect_lal(classify.decode_trace(doubled))) \
-        == len(privacy.detect_lal(classify.decode_trace(trace)))
+    assert len(_lal(doubled)) == len(_lal(trace))
 
 
 def test_tel_absent_without_consent():
-    assert privacy.detect_tel(
-        classify.decode_trace(_visit_trace(consented=False))) == []
+    assert _tel(_visit_trace(consented=False)) == []
 
 
 def test_tel_fires_on_consented_token_delivery():
-    findings = privacy.detect_tel(
-        classify.decode_trace(_visit_trace(consented=True)))
+    findings = _tel(_visit_trace(consented=True))
     assert len(findings) == 1
     finding = findings[0]
     assert finding.kind == privacy.LEAK_TEL
@@ -101,8 +107,7 @@ def test_tel_flags_orphan_token_messages():
         "payload": spar.encode_json(
             {"access_token": "t0k3n!", "token_type": "bearer"}),
     }
-    findings = privacy.detect_tel(
-        classify.decode_trace(_bare_visit_trace([orphan])))
+    findings = _tel(_bare_visit_trace([orphan]))
     assert len(findings) == 1
     finding = findings[0]
     assert finding.annotation == privacy.ANNOTATION_NO_REQUEST
@@ -119,8 +124,7 @@ def test_tel_known_origin_orphan_is_attributed():
         "payload": spar.encode_json(
             {"id_token": make_id_token("RS256", {"sub": "2"})}),
     }
-    findings = privacy.detect_tel(
-        classify.decode_trace(_bare_visit_trace([orphan])))
+    findings = _tel(_bare_visit_trace([orphan]))
     assert [f.idp for f in findings] == ["Google"]
     assert findings[0].annotation == privacy.ANNOTATION_NO_REQUEST
 
@@ -141,8 +145,7 @@ def test_tel_matched_delivery_under_no_consent_still_counts():
     har = json.dumps(build_har(entries, [push])).encode()
     meta = json.dumps(build_meta("news.example",
                                  profile_kind="no-consent-visit")).encode()
-    findings = privacy.detect_tel(
-        classify.decode_trace(parse_trace_bundle(har, meta)))
+    findings = _tel(parse_trace_bundle(har, meta))
     assert [f.kind for f in findings] == ["TEL"]
     assert findings[0].annotation is None  # matched to the widget request
 
@@ -155,8 +158,7 @@ def test_tel_ignores_tokenless_messages():
         "target_origin": "https://news.example",
         "payload": spar.encode_json({"status": "ready"}),
     }
-    assert privacy.detect_tel(classify.decode_trace(
-        _visit_trace(consented=False, extra_ibc=[chatter]))) == []
+    assert _tel(_visit_trace(consented=False, extra_ibc=[chatter])) == []
 
 
 # ---------------------------------------------------------------------------

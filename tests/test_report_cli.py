@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import shutil
 
 import pytest
 
@@ -32,12 +33,13 @@ def _analysis(domain="shop.example", shape=LoginShape(), seed=1):
 
 def test_build_report_shape_and_defaults():
     doc = report.build_report()
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["tool"]["name"] == "sso-auditor"
     assert doc["generated_at"] == "1970-01-01T00:00:00Z"
     assert doc["security"] == []
     assert doc["privacy"] is None
-    assert doc["landscape"] is None
+    assert doc["errors"] == []
+    assert "landscape" not in doc
     assert doc["config"]["idp_registry"] == "built-in"
     assert doc["config"]["entropy_threshold_bits"] == 96.0
 
@@ -94,18 +96,29 @@ def test_markdown_includes_privacy_and_landscape_sections():
         "totals": {"no-consent-visit": {"LAL": 1, "TEL": 0},
                    "consent-given-visit": {"LAL": 1, "TEL": 1}},
     }
-    landscape_table = {
-        "rows": [{"idp": "google", "sso_logins": 2, "oauth2": 1, "oidc": 1,
-                  "code": 1, "hybrid": 0, "implicit": 1, "unknown": 0}],
-        "totals": {"sso_logins": 2, "oauth2": 1, "oidc": 1, "code": 1,
-                   "hybrid": 0, "implicit": 1, "unknown": 0},
-    }
-    doc = report.build_report(privacy=privacy_table, landscape=landscape_table)
+    # two websites, three logins: OIDC code, OIDC hybrid, and an OAuth
+    # implicit request whose response never came
+    analyses = [
+        _analysis("a.example"),
+        _analysis("a.example", LoginShape(response_type="code id_token")),
+        _analysis("b.example", LoginShape(response_type="token",
+                                          scope="email", delivery="none")),
+    ]
+    doc = report.build_report(security=analyses, privacy=privacy_table)
     text = report.render_report(doc, "markdown")
     assert "# Privacy leaks" in text
     assert "| Google | 1 | 0 | 1 | 1 |" in text
     assert "# SSO landscape" in text
-    assert "| google | 2 | 1 | 1 | 1 | 0 | 1 | 0 |" in text
+    lines = text.splitlines()
+    assert ("| IdP | Websites | Logins | OAuth 2.0 | OIDC | code | hybrid | "
+            "implicit | unknown |") in lines
+    assert "| Google | 2 | 3 | 1 | 2 | 1 | 1 | 1 | 0 |" in lines
+    assert "| Total | 2 | 3 | 1 | 2 | 1 | 1 | 1 | 0 |" in lines
+
+    # no login rows, no landscape section
+    text = report.render_report(report.build_report(privacy=privacy_table),
+                                "markdown")
+    assert "# SSO landscape" not in text
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +182,75 @@ def test_analyze_rejects_incomplete_unit(tmp_path, capsys):
     unit = tmp_path / "t" / "a.example" / "google"
     unit.mkdir(parents=True)
     assert cli.main(["analyze", str(tmp_path / "t")]) == 1
-    assert "run1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "run1" in err
+    assert err.startswith("error: a.example/google: ") and err.count("\n") == 1
+
+
+def _write_unit(command, unit_dir, domain, seed):
+    """One analyze or privacy unit; returns one of its bundle directories."""
+    if command == "analyze":
+        write_login_unit(unit_dir, domain, LoginShape(state_kind="weak"), seed)
+        return unit_dir / "run1"
+    write_visit_unit(unit_dir, domain, seed)
+    return unit_dir / "consent"
+
+
+@pytest.mark.parametrize("command, section", [("analyze", "security"),
+                                              ("privacy", "privacy")])
+def test_damaged_unit_is_named_and_the_rest_reported(tmp_path, capsys,
+                                                     command, section):
+    root = tmp_path / "traces"
+    bad = _write_unit(command, root / "a.example" / "google", "a.example", 3)
+    _write_unit(command, root / "b.example" / "google", "b.example", 4)
+    (bad / "trace.har").write_text('{"log": {"entries": [')
+    code = cli.main([command, str(root)])
+    captured = capsys.readouterr()
+    assert code in (0, 2) and captured.err == ""
+    doc = json.loads(captured.out)
+    (error,) = doc["errors"]
+    assert error["unit"] == "a.example/google" and error["error"]
+
+    alone = tmp_path / "alone"
+    shutil.copytree(root / "b.example", alone / "b.example")
+    assert cli.main([command, str(alone)]) == code
+    doc_alone = json.loads(capsys.readouterr().out)
+    assert doc_alone["errors"] == []
+    assert doc[section] == doc_alone[section]
+
+    # the Markdown report names the skipped unit too
+    assert cli.main([command, str(root), "--format", "markdown"]) == code
+    markdown = capsys.readouterr().out
+    assert "# Skipped units" in markdown
+    assert "| a.example/google | " in markdown
+    assert "# Skipped units" not in report.render_report(
+        doc_alone, report.FORMAT_MARKDOWN)
+
+
+def test_unit_errors_do_not_depend_on_the_root_path(tmp_path, monkeypatch,
+                                                    capsys):
+    root = tmp_path / "traces"
+    for domain, seed in (("a.example", 3), ("b.example", 4), ("c.example", 5)):
+        _write_unit("analyze", root / domain / "google", domain, seed)
+    shutil.rmtree(root / "a.example" / "google" / "run1")
+    (root / "c.example" / "google" / "run2" / "meta.json").unlink()
+    moved = tmp_path / "elsewhere" / "copy"
+    shutil.copytree(root, moved)
+
+    codes, outputs = set(), []
+    monkeypatch.chdir(tmp_path)
+    for path in (str(root), "traces", "elsewhere/copy", str(moved)):
+        for format in ("json", "markdown"):
+            codes.add(cli.main(["analyze", path, "--format", format]))
+            outputs.append(capsys.readouterr().out)
+    assert len(codes) == 1 and codes <= {0, 2}
+    assert outputs[0::2] == [outputs[0]] * 4
+    assert outputs[1::2] == [outputs[1]] * 4
+    assert json.loads(outputs[0])["errors"] == [
+        {"unit": "a.example/google", "error": "no trace.har in run1"},
+        {"unit": "c.example/google", "error": "no meta.json in run2"},
+    ]
+    assert "| c.example/google | no meta.json in run2 |" in outputs[1]
 
 
 def test_config_env_and_flag_precedence(tmp_path, monkeypatch, capsys):
@@ -243,19 +324,14 @@ def test_landscape_queries_subcommand(capsys):
 
 
 def test_landscape_diff_subcommand(tmp_path, capsys):
-    from sso_auditor.landscape import (
-        IdpObservation, ScanRecord, dump_scan_records,
-    )
-
     def record(domain, *idps):
-        return ScanRecord(domain=domain, scanned_at="t", idps=tuple(
-            IdpObservation(i, "keyword", f"https://{domain}/login")
-            for i in idps))
+        return json.dumps({"domain": domain, "scanned_at": "t", "idps": [
+            {"idp": i, "method": "keyword",
+             "login_page": f"https://{domain}/login"} for i in idps]}) + "\n"
 
     prev, next_ = tmp_path / "prev.jsonl", tmp_path / "next.jsonl"
-    prev.write_text(dump_scan_records([record("a.example", "google")]))
-    next_.write_text(dump_scan_records([record("a.example", "google",
-                                               "apple")]))
+    prev.write_text(record("a.example", "google"))
+    next_.write_text(record("a.example", "google", "apple"))
     assert cli.main(["landscape", "diff", str(prev), str(next_)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["added"] == [["a.example", "apple"]]
@@ -287,14 +363,33 @@ def test_fixture_pack_reports_are_pinned(fixture_pack, tmp_path):
     # size and sha256 prefix of the canonical reports; a refactor that is
     # meant to keep the output must keep these bytes
     root, _ = fixture_pack
-    for fmt, size, digest in (("json", 17_928, "3db3104f0508e4d4"),
-                              ("markdown", 337, "d6e4df380b16c593")):
+    for fmt, size, digest in (("json", 17_923, "76cce4ffbfc9446f"),
+                              ("markdown", 588, "979ee58c45927fe1")):
         out = tmp_path / f"report.{fmt}"
         assert cli.main(["analyze", str(root), "--format", fmt,
                          "--out", str(out)]) == 2
         data = out.read_bytes()
         assert (len(data), hashlib.sha256(data).hexdigest()[:16]) == \
             (size, digest)
+
+
+def test_fixture_pack_landscape_is_counted_from_login_rows(fixture_pack,
+                                                          tmp_path):
+    root, _ = fixture_pack
+    stored = tmp_path / "report.json"
+    assert cli.main(["analyze", str(root), "--out", str(stored)]) == 2
+    markdown = tmp_path / "report.md"
+    assert cli.main(["analyze", str(root), "--format", "markdown",
+                     "--out", str(markdown)]) == 2
+    rendered = tmp_path / "rendered.md"
+    assert cli.main(["report", "render", str(stored), "--format", "markdown",
+                     "--out", str(rendered)]) == 0
+    assert rendered.read_bytes() == markdown.read_bytes()
+
+    lines = markdown.read_text().splitlines()
+    assert "# SSO landscape" in lines
+    assert "| Google | 17 | 17 | 4 | 13 | 12 | 4 | 1 | 0 |" in lines
+    assert "| Total | 17 | 17 | 4 | 13 | 12 | 4 | 1 | 0 |" in lines
 
 
 @pytest.mark.parametrize("redirect_uri", ["https://shop.example:99999/cb",
