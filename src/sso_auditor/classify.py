@@ -4,7 +4,9 @@
 entry's query, fragment and body, an in-browser message's payload) under
 the run's SPAR budgets, indexes each tree by path segment, and extracts the
 protocol parameters.  Detection, response matching, the security rules and
-the privacy detectors all read this view instead of decoding again.
+the privacy detectors all read this view instead of decoding again.  A
+second recording of a login is decoded only inside ``find_logins``, and
+only where a partner of a first-run login request can be.
 
 Detection is parameter-driven: an HTTP entry or an in-browser message is a
 login request when its decoded parameters carry both ``client_id`` and
@@ -18,7 +20,11 @@ path must equal the redirect_uri's (exact matching, RFC 9700).
 ``find_logins`` puts each login together once, as a ``Login`` record that
 the security rules and the privacy detectors read: the deduplicated request,
 its response, its partner in a second recording, and whether the login's
-own IdP token endpoint answered visibly.
+own IdP token endpoint answered visibly.  The second recording is parsed in
+full but decoded only for the entries and events whose registry IdP is one
+of the first run's login IdPs (all of it when a first-run request was found
+only through ``response_type``): ``pair_runs`` pairs a message only with one
+of the same IdP, so no other item can hold a partner.
 """
 
 from __future__ import annotations
@@ -227,24 +233,43 @@ class DecodedItem:
 
 @dataclass(frozen=True)
 class DecodedTrace:
-    """Items aligned with ``trace.entries`` and ``trace.ibc_events``."""
+    """Items aligned with ``trace.entries`` and ``trace.ibc_events``, and the
+    SPAR budgets they were decoded under."""
 
     trace: Trace
     entries: tuple[DecodedItem, ...]
     ibc_events: tuple[DecodedItem, ...]
+    max_depth: int
+    max_nodes: int
 
 
 def decode_trace(trace: Trace, max_depth: int = spar.DEFAULT_MAX_DEPTH,
-                 max_nodes: int = spar.DEFAULT_MAX_NODES) -> DecodedTrace:
-    """Decode every surface of ``trace`` once, under the given budgets."""
+                 max_nodes: int = spar.DEFAULT_MAX_NODES,
+                 idps: frozenset[str] | None = None,
+                 registry: IdpRegistry | None = None) -> DecodedTrace:
+    """Decode every surface of ``trace`` once, under the given budgets.
+
+    Given ``idps``, decode only the entries whose URL and the events whose
+    target origin map to one of them in ``registry``; every other item is
+    left empty, with no parameters and no token channel.
+    """
+    if idps is not None:
+        registry = registry or default_registry()
     return DecodedTrace(
         trace=trace,
-        entries=tuple(_decoded_item(_entry_trees(entry, max_depth, max_nodes))
-                      for entry in trace.entries),
+        entries=tuple(
+            _decoded_item(_entry_trees(entry, max_depth, max_nodes)
+                          if idps is None or registry.match_authorization(
+                              entry.request.url) in idps else [])
+            for entry in trace.entries),
         ibc_events=tuple(
             _decoded_item([(CHANNEL_POST_MESSAGE,
-                            spar.decode(event.payload, max_depth, max_nodes))])
+                            spar.decode(event.payload, max_depth, max_nodes))]
+                          if idps is None or registry.match_origin(
+                              event.target_origin) in idps else [])
             for event in trace.ibc_events),
+        max_depth=max_depth,
+        max_nodes=max_nodes,
     )
 
 
@@ -488,13 +513,23 @@ class Login:
 
 
 def find_logins(view: DecodedTrace, registry: IdpRegistry | None = None,
-                view2: DecodedTrace | None = None) -> list[Login]:
+                run2: Trace | None = None) -> list[Login]:
     """The deduplicated logins of ``view``, in detection order, each paired
-    with its partner in ``view2`` (the second recording), if given."""
+    with its partner in ``run2`` (the second recording), if given.
+
+    ``run2`` is decoded here, under ``view``'s budgets, and only where a
+    partner can be.  A run-2 message pairs only with a request of its own
+    IdP, which is its registry IdP or ``unknown``; unless a run-1 request is
+    ``unknown``, an item mapping to none of run 1's IdPs holds no partner.
+    """
     registry = registry or default_registry()
     requests = dedupe_login_requests(detect_login_requests(view, registry))
-    requests2 = (dedupe_login_requests(detect_login_requests(view2, registry))
-                 if view2 is not None else [])
+    requests2 = []
+    if run2 is not None:
+        idps = frozenset(request.idp for request in requests)
+        view2 = decode_trace(run2, view.max_depth, view.max_nodes,
+                             None if UNKNOWN_IDP in idps else idps, registry)
+        requests2 = dedupe_login_requests(detect_login_requests(view2, registry))
     exchanges = _token_exchanges(view.trace, registry) if requests else []
     return [Login(request=request,
                   response=match_login_response(view, request),

@@ -1,8 +1,9 @@
 """Passive security checks over recorded login runs.
 
-``run_all`` decodes each recording once (``classify.decode_trace``, under the
-configured SPAR budgets) and puts each login together once
-(``classify.find_logins``).  Every per-login rule has one signature,
+``run_all`` decodes the first recording once (``classify.decode_trace``, under
+the configured SPAR budgets) and puts each login together once
+(``classify.find_logins``, which decodes the second recording only where a
+partner of a first-run login can be).  Every per-login rule has one signature,
 ``check_x(login, cfg) -> list[Finding]``, and runs from the ``LOGIN_RULES``
 table of (group name, rule), each group guarded so that a crashing rule
 becomes one ``analyzer.error`` finding.  The trace-level rules read the
@@ -577,10 +578,8 @@ def run_all(run1: Trace, run2: Trace | None = None,
                 f"security rules need login-run traces, got "
                 f"{trace.metadata.profile_kind}")
 
-    view1, view2 = (
-        classify.decode_trace(trace, cfg.max_spar_depth, cfg.max_spar_nodes)
-        if trace is not None else None for trace in (run1, run2))
-    logins = classify.find_logins(view1, registry, view2)
+    view1 = classify.decode_trace(run1, cfg.max_spar_depth, cfg.max_spar_nodes)
+    logins = classify.find_logins(view1, registry, run2)
     requests = [login.request for login in logins]
     analysis = SecurityAnalysis(domain=run1.metadata.domain,
                                 idp=_primary_idp(run1, requests))

@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from sso_auditor import spar
 from sso_auditor.synth import build_fixture_pack
 from sso_auditor.trace import parse_trace_bundle
 
@@ -24,3 +27,16 @@ def load_bundle(bundle_dir):
 @pytest.fixture(scope="session")
 def bundle_loader():
     return load_bundle
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """Counts calls of ``spar.decode`` and ``spar.decode_query_string`` per
+    top-level value."""
+    counts = Counter()
+    for name in ("decode", "decode_query_string"):
+        def counting(value, *args, _decode=getattr(spar, name), **kwargs):
+            counts[value] += 1
+            return _decode(value, *args, **kwargs)
+        monkeypatch.setattr(spar, name, counting)
+    return counts

@@ -1,14 +1,17 @@
 """Tests for login request/response detection and flow classification."""
 
+import dataclasses
 import json
 import random
+from urllib.parse import urlsplit
 
 import pytest
 
 from sso_auditor import classify, spar
 from sso_auditor.exceptions import MalformedInput
 from sso_auditor.synth import (
-    LoginShape, build_har, build_meta, har_entry, synth_login_entries,
+    AUTH_URL, IDP_NAME, TRIGGER_SHAPES, LoginShape, build_har, build_meta,
+    har_entry, synth_login_entries,
 )
 from sso_auditor.trace import parse_trace_bundle
 
@@ -198,10 +201,10 @@ def test_find_logins_on_a_two_run_unit():
     # run 2 first logs in through another redirect path of the same site
     detour = synth_login_entries(random.Random(3), "shop.example", LoginShape(
         redirect_uri="https://shop.example/alt"))
-    run2 = classify.decode_trace(_trace(
-        detour + synth_login_entries(random.Random(2), "shop.example",
-                                     LoginShape())))
-    detour_request, request2 = classify.detect_login_requests(run2)
+    run2 = _trace(detour + synth_login_entries(random.Random(2), "shop.example",
+                                               LoginShape()))
+    detour_request, request2 = classify.detect_login_requests(
+        classify.decode_trace(run2))
     assert detour_request.params.redirect_uri == "https://shop.example/alt"
 
     (login,) = classify.find_logins(
@@ -219,6 +222,141 @@ def test_find_logins_on_a_two_run_unit():
         classify.decode_trace(_trace(entries + [facebook, google])))
     assert login.request2 is None
     assert login.token_exchange_visible
+
+
+# run 2 is decoded only where a partner can be; these cover each branch
+
+FACEBOOK_AUTH_URL = "https://www.facebook.com/dialog/oauth"
+PARTNER_AUTH_URL = "https://sso.partner.example/authorize"
+
+
+def _login_entries(rng, auth_url=AUTH_URL, shape=LoginShape()):
+    """A synth login whose authorization request goes to ``auth_url``."""
+    entries = synth_login_entries(rng, "shop.example", shape)
+    request = entries[1]["request"]
+    request["url"] = request["url"].replace(AUTH_URL, auth_url)
+    return entries
+
+
+def _login_event(rng, redirect_uri="https://shop.example/cb"):
+    """A login request posted from the page to the Google widget."""
+    return {
+        "kind": "post-message",
+        "at": "2026-01-17T12:00:01Z",
+        "source_origin": "https://shop.example",
+        "target_origin": "https://accounts.google.com",
+        "payload": spar.encode_json({
+            "client_id": "abc",
+            "redirect_uri": redirect_uri,
+            "response_type": "id_token",
+            "state": f"{rng.getrandbits(128):032x}",
+        }),
+    }
+
+
+_BEACON = "https://tracker.example/p?u=https%3A%2F%2Fshop.example%2F&e=view"
+
+
+def _query_at(trace, host):
+    """The one non-empty query of ``trace``'s requests to ``host``."""
+    (query,) = [parts.query for parts in (urlsplit(entry.request.url)
+                                          for entry in trace.entries)
+                if parts.hostname == host and parts.query]
+    return query
+
+
+def test_find_logins_pairs_an_unknown_idp_request(decoded):
+    # found only through response_type, the request's IdP is unknown, and so
+    # is its partner's: the registry cannot narrow run 2, so all of it is read
+    run1 = _trace(_login_entries(random.Random(1), PARTNER_AUTH_URL)
+                  + [har_entry(_BEACON)])
+    run2 = _trace(_login_entries(random.Random(2), PARTNER_AUTH_URL)
+                  + [har_entry(_BEACON.replace("view", "load"))])
+    (login,) = classify.find_logins(classify.decode_trace(run1), None, run2)
+    assert login.request.idp == classify.UNKNOWN_IDP
+    (request2,) = classify.detect_login_requests(classify.decode_trace(run2))
+    assert login.request2 == request2
+    assert login.request2.params.state != login.request.params.state
+    assert decoded[_query_at(run2, "tracker.example")] == 2
+
+
+def test_find_logins_pairs_a_post_message_request(decoded):
+    rng = random.Random(5)
+    run1 = _trace([har_entry("https://shop.example/")], ibc=[_login_event(rng)])
+    event2 = _login_event(rng)
+    run2 = _trace([har_entry("https://shop.example/"), har_entry(_BEACON)],
+                  ibc=[event2])
+    (login,) = classify.find_logins(classify.decode_trace(run1), None, run2)
+    assert (login.request.ref_kind, login.request.idp) == \
+        (classify.REF_IBC, "Google")
+    assert (login.request2.ref_kind, login.request2.idp) == \
+        (classify.REF_IBC, "Google")
+    assert login.request2.params.state != login.request.params.state
+    assert decoded[event2["payload"]] == 1
+    assert decoded[_query_at(run2, "tracker.example")] == 0
+
+
+def test_find_logins_skips_a_run2_login_at_another_idp(decoded):
+    run1 = _trace(_login_entries(random.Random(1)))
+    run2 = _trace(_login_entries(random.Random(2), FACEBOOK_AUTH_URL,
+                                 LoginShape(delivery="query")))
+    (login,) = classify.find_logins(classify.decode_trace(run1), None, run2)
+    assert login.request.idp == "Google"
+    assert login.request2 is None
+    facebook_query = _query_at(run2, "www.facebook.com")
+    callback_query = _query_at(run2, "shop.example")
+    assert (decoded[facebook_query], decoded[callback_query]) == (0, 0)
+    # decoded in full, run 2 has a login, but of another IdP
+    (other,) = classify.detect_login_requests(classify.decode_trace(run2))
+    assert other.idp == "Facebook"
+
+
+def _reference_logins(view, run2):
+    """find_logins with all of run 2 decoded, then paired by pair_runs."""
+    def requests(decoded_view):
+        return classify.dedupe_login_requests(
+            classify.detect_login_requests(decoded_view))
+
+    view2 = classify.decode_trace(run2, view.max_depth, view.max_nodes)
+    pairs = classify.pair_runs(requests(view), requests(view2))
+    logins = classify.find_logins(view)
+    assert [login.request for login in logins] == [msg for msg, _ in pairs]
+    return [dataclasses.replace(login, request2=mate)
+            for login, (_, mate) in zip(logins, pairs)]
+
+
+def _random_run(rng):
+    """0-2 logins, each an HTTP one at Google, Facebook or an unknown IdP or
+    a postMessage one at Google, to one of two redirect paths; a beacon."""
+    entries, ibc = [har_entry(_BEACON)], []
+    for _ in range(rng.randrange(3)):
+        kind = rng.choice((AUTH_URL, FACEBOOK_AUTH_URL, PARTNER_AUTH_URL,
+                           "post-message"))
+        redirect_uri = rng.choice(("https://shop.example/cb",
+                                   "https://shop.example/alt"))
+        if kind == "post-message":
+            ibc.append(_login_event(rng, redirect_uri))
+            continue
+        shape = dataclasses.replace(rng.choice(list(TRIGGER_SHAPES.values())),
+                                    redirect_uri=redirect_uri)
+        entries += _login_entries(rng, kind, shape)
+    return _trace(entries, ibc)
+
+
+def test_find_logins_equals_decoding_all_of_run2(fixture_pack, bundle_loader):
+    root, manifest = fixture_pack
+    units = [(bundle_loader(root / domain / IDP_NAME / "run1"),
+              bundle_loader(root / domain / IDP_NAME / "run2"))
+             for domain in manifest["fixtures"]]
+    rng = random.Random(11)
+    units += [(_random_run(rng), _random_run(rng)) for _ in range(60)]
+    paired = 0
+    for run1, run2 in units:
+        view = classify.decode_trace(run1)
+        logins = classify.find_logins(view, None, run2)
+        assert logins == _reference_logins(view, run2)
+        paired += sum(login.request2 is not None for login in logins)
+    assert paired > len(manifest["fixtures"])
 
 
 # ---------------------------------------------------------------------------

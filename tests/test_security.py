@@ -505,29 +505,49 @@ def test_run_all_survives_unsplittable_redirect_uri(redirect_uri):
 
 
 def test_run_all_decodes_each_request_surface_once(fixture_pack,
-                                                   bundle_loader, monkeypatch):
+                                                   bundle_loader, decoded):
     # query delivery: detection, response matching and the secret rules all
-    # read the login and callback queries; each is decoded once per run
+    # read run 1's login and callback queries, and each is decoded once.
+    # Run 2 only supplies the login's partner: its login query, on the IdP
+    # endpoint, is decoded once; its callback query is never decoded.
     root, _ = fixture_pack
     unit = root / fixture_domain("secret.token-in-url") / IDP_NAME
     run1, run2 = (bundle_loader(unit / name) for name in ("run1", "run2"))
-    decoded = Counter()
-    for name in ("decode", "decode_query_string"):
-        def counting(value, *args, _decode=getattr(spar, name), **kwargs):
-            decoded[value] += 1
-            return _decode(value, *args, **kwargs)
-        monkeypatch.setattr(spar, name, counting)
-
     analysis = security.run_all(run1, run2)
     assert analysis.rule_ids() == {"secret.token-in-url"}
-    surfaces = Counter()
-    for trace in (run1, run2):
+
+    def surfaces(trace):
+        found = Counter()
         for entry in trace.entries:
             parts = urlsplit(entry.request.url)
-            surfaces.update(value for value in (parts.query, parts.fragment,
-                                                entry.request.body) if value)
-    assert len(surfaces) == 4  # login and callback query, in each run
-    assert {value: decoded[value] for value in surfaces} == surfaces
+            found.update(value for value in (parts.query, parts.fragment,
+                                             entry.request.body) if value)
+        return found
+
+    surfaces1 = surfaces(run1)
+    assert len(surfaces1) == 2  # login and callback query
+    assert {value: decoded[value] for value in surfaces1} == surfaces1
+    login2, callback2 = (urlsplit(entry.request.url).query
+                         for entry in run2.entries[1:3])
+    assert login2.startswith("client_id=") and callback2.startswith("code=")
+    assert surfaces(run2) == Counter([login2, callback2])
+    assert (decoded[login2], decoded[callback2]) == (1, 0)
+
+
+def test_run_all_decodes_no_run2_without_a_run1_login(decoded):
+    # nothing in run 2 can be a partner, so the analysis is run 1's alone
+    run1 = _trace([
+        har_entry("https://shop.example/login"),
+        har_entry("http://shop.example/metrics?event=view&client_id=x",
+                  body_text="ok", body_mime="text/plain"),
+    ])
+    run2 = _login_trace(LoginShape(delivery="query"), seed=2)
+    analysis = security.run_all(run1, run2)
+    run2_values = [urlsplit(entry.request.url).query for entry in run2.entries]
+    assert [decoded[value] for value in run2_values if value] == [0, 0]
+    assert analysis.logins == []
+    assert analysis.rule_ids() == {"tls.plain-request"}
+    assert analysis.to_dict() == security.run_all(run1).to_dict()
 
 
 def test_run_all_countermeasure_summary():
