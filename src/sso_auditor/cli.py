@@ -274,7 +274,7 @@ def _cmd_privacy(args) -> int:
 def _cmd_spar(args) -> int:
     tree = spar.decode(args.value, _budget("--max-depth", args.max_depth),
                        _budget("--max-nodes", args.max_nodes))
-    print(tree.to_json())
+    _emit(tree.to_json() + "\n", None)
     return EXIT_OK
 
 
@@ -311,7 +311,16 @@ def _cmd_report_render(args) -> int:
 
 
 def _emit(text: str, out_path: str | None) -> None:
+    # A lone surrogate (a recorded "\ud800" escape) has no UTF-8 form.  It
+    # is written as that escape, which inside a JSON string is the same
+    # character; text without one keeps its exact bytes.  Standard output
+    # is tried as is first, so only such a report is copied.
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
+        Path(out_path).write_text(text, encoding="utf-8",
+                                  errors="backslashreplace")
+        return
+    try:
         sys.stdout.write(text)
+    except UnicodeEncodeError:
+        sys.stdout.write(text.encode("utf-8", "backslashreplace")
+                         .decode("utf-8"))

@@ -19,6 +19,13 @@ is fixed so that the same input always yields the same tree:
                 the decoded bytes are printable ASCII or a UTF-8 JSON
                 container
 
+Each codec is tried only when its own first rejection test passes, and
+that guard is the test copied exactly, so skipping a codec never changes a
+tree: JWT needs exactly two "."; JSON a first character "{", "[" or
+whitespace; form pairs an "=" and no http(s) scheme; a nested URL that
+scheme; percent a "%"; base64 a length of at least 8 that is a multiple
+of 4.
+
 Stops are silent: depth and node budgets truncate the tree, and JSON nested
 too deeply to load stays a leaf; none of them raises.  A node is a leaf
 exactly when it has no children.
@@ -32,7 +39,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from typing import Iterator
-from urllib.parse import parse_qsl, unquote
+from urllib.parse import SplitResult, unquote
 
 from .domains import split_url
 from .exceptions import MalformedJwt
@@ -60,7 +67,7 @@ _FORM_KEY = re.compile(r"[A-Za-z0-9_.%+~\[\]-]+")
 _ABS_URL = re.compile(r"https?://", re.IGNORECASE)
 
 
-@dataclass
+@dataclass(slots=True)
 class SparNode:
     """One decoded layer.  ``children`` maps path segments to subtrees."""
 
@@ -125,7 +132,7 @@ def _query_node(value: str, depth: int, max_depth: int,
                 budget: _Budget) -> SparNode:
     """A query-string node holding the form pairs of ``value``; a leaf when
     there are none.  Its own node is already taken from ``budget``."""
-    node = SparNode(raw=value, decoding=QUERY_STRING, depth=depth)
+    node = SparNode(value, QUERY_STRING, {}, depth)
     _attach_form_children(node, value, max_depth, budget)
     if not node.children:
         node.decoding = LEAF
@@ -136,15 +143,28 @@ def _query_node(value: str, depth: int, max_depth: int,
 # pipeline
 
 def _decode_node(value: str, depth: int, max_depth: int, budget: _Budget) -> SparNode:
-    node = SparNode(raw=value, decoding=LEAF, depth=depth)
-    if depth >= max_depth:
+    node = SparNode(value, LEAF, {}, depth)
+    if depth >= max_depth or not value:
         return node
-    for attempt in (_try_jwt, _try_json, _try_form, _try_url, _try_percent,
-                    _try_base64):
-        if attempt(node, value, max_depth, budget):
-            break
-    if not node.children:
-        node.decoding = LEAF
+    # the codecs in their fixed order, each behind its own first test
+    if value.count(".") == 2 and _try_jwt(node, value, max_depth, budget):
+        return node
+    first = value[0]
+    if (first in "{[" or first.isspace()) \
+            and _try_json(node, value, max_depth, budget):
+        return node
+    url = _ABS_URL.match(value)
+    if not url and "=" in value and _try_form(node, value, max_depth, budget):
+        return node
+    if url and _try_url(node, value, max_depth, budget):
+        return node
+    if "%" in value and _try_percent(node, value, max_depth, budget):
+        return node
+    if len(value) >= 8 and len(value) % 4 == 0 \
+            and _try_base64(node, value, max_depth, budget):
+        return node
+    # a codec that took no child may have labelled the node
+    node.decoding = LEAF
     return node
 
 
@@ -186,7 +206,7 @@ def _try_jwt(node: SparNode, value: str, max_depth: int, budget: _Budget) -> boo
     if node.children:
         if budget.take():
             node.children["signature"] = SparNode(
-                raw=signature_seg, decoding=LEAF, depth=node.depth + 1)
+                signature_seg, LEAF, {}, node.depth + 1)
     return bool(node.children)
 
 
@@ -210,8 +230,18 @@ def _try_json(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bo
 
 
 def _json_child_text(value: object) -> str:
+    # what json.dumps gives for the scalars it loads, without calling it;
+    # bool is tested before int, of which it is a subclass
     if isinstance(value, str):
         return value
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
 
 
@@ -240,7 +270,7 @@ def _attach_form_children(node: SparNode, value: str, max_depth: int,
     # which gives the same names as probing from 2 since names are never
     # freed, in linear time over many repeats.
     next_suffix: dict[str, int] = {}
-    for key, val in parse_qsl(value, keep_blank_values=True):
+    for key, val in _form_pairs(value):
         segment, n = key, next_suffix.get(key, 2)
         while segment in node.children:
             segment = f"{key}#{n}"
@@ -250,10 +280,28 @@ def _attach_form_children(node: SparNode, value: str, max_depth: int,
             break
 
 
+def _form_pairs(value: str) -> Iterator[tuple[str, str]]:
+    """The pairs of ``parse_qsl(value, keep_blank_values=True)``, one at a
+    time, unquoting only a part that holds a "%"."""
+    for piece in value.split("&"):
+        if not piece:
+            continue
+        key, _, val = piece.partition("=")
+        if "+" in key:
+            key = key.replace("+", " ")
+        if "%" in key:
+            key = unquote(key)
+        if "+" in val:
+            val = val.replace("+", " ")
+        if "%" in val:
+            val = unquote(val)
+        yield key, val
+
+
 def _try_url(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bool:
-    if not _is_absolute_http_url(value):
+    parts = _http_url_parts(value)
+    if parts is None:
         return False
-    parts = split_url(value)
     node.decoding = NESTED_URL
     _add_child(node, "scheme", parts.scheme.lower(), max_depth, budget)
     _add_child(node, "host", parts.netloc, max_depth, budget)
@@ -328,11 +376,14 @@ def _parses_as_json_container(text: str) -> bool:
         return False
 
 
-def _is_absolute_http_url(value: str) -> bool:
+def _http_url_parts(value: str) -> SplitResult | None:
+    """The parts of an absolute http(s) URL; None for any other value."""
     if not _ABS_URL.match(value) or any(c.isspace() for c in value):
-        return False
+        return None
     parts = split_url(value)  # empty for e.g. "https://[abc/x"
-    return parts.scheme.lower() in ("http", "https") and bool(parts.netloc)
+    if parts.scheme.lower() in ("http", "https") and parts.netloc:
+        return parts
+    return None
 
 
 def _b64url_to_text(segment: str) -> str | None:
@@ -366,16 +417,21 @@ def index(tree: SparNode) -> SegmentIndex:
     the first hit for a name is its first occurrence in preorder.
     """
     hits: SegmentIndex = {}
-    for path, node in walk(tree):
-        if path:
-            hits.setdefault(path[-1], []).append((path, node))
+    _index_children(tree, (), hits)
     return hits
+
+
+def _index_children(node: SparNode, path: Path, hits: SegmentIndex) -> None:
+    for segment, child in node.children.items():
+        child_path = path + (segment,)
+        hits.setdefault(segment, []).append((child_path, child))
+        _index_children(child, child_path, hits)
 
 
 def find_nested_urls(tree: SparNode) -> list[tuple[Path, str]]:
     """Non-root nodes whose raw value is an absolute http(s) URL."""
     return [(path, node.raw) for path, node in walk(tree)
-            if path and _is_absolute_http_url(node.raw)]
+            if path and _http_url_parts(node.raw) is not None]
 
 
 def leaves(tree: SparNode) -> list[tuple[Path, str]]:

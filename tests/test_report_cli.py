@@ -406,6 +406,65 @@ def test_analyze_survives_unsplittable_redirect_uri(tmp_path, capsys,
     assert len(fragment["logins"]) == 1
 
 
+# a client_secret that is a lone surrogate, which has no UTF-8 form: from a
+# JSON escape inside a parameter, and from the HAR's own escape
+@pytest.fixture(params=["?x=%7B%22client_secret%22%3A%22%5Cud800%22%7D",
+                        "?client_secret=\ud800"], ids=["param", "har"])
+def surrogate_pack(tmp_path, request):
+    root = tmp_path / "traces"
+    unit = root / "shop.example" / "google"
+    for run in (1, 2):
+        entries = synth_login_entries(random.Random(run), "shop.example",
+                                      LoginShape())
+        if run == 1:
+            entries.append(har_entry("https://shop.example/page"
+                                     + request.param))
+        write_bundle(unit / f"run{run}", build_har(entries),
+                     build_meta("shop.example", run_index=run))
+    return root
+
+
+def _surrogate_excerpts(doc):
+    return [evidence["excerpt"] for fragment in doc["security"]
+            for finding in fragment["findings"]
+            for evidence in finding["evidence"]
+            if evidence["spar_path"].endswith("client_secret")]
+
+
+def test_lone_surrogate_is_written_as_its_escape(surrogate_pack, tmp_path,
+                                                 capsys):
+    assert cli.main(["analyze", str(surrogate_pack)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "\\ud800" in captured.out
+    assert _surrogate_excerpts(json.loads(captured.out)) == ["\ud800"]
+
+    stored = tmp_path / "report.json"
+    assert cli.main(["analyze", str(surrogate_pack), "--out",
+                     str(stored)]) == 2
+    assert stored.read_text() == captured.out
+
+    assert cli.main(["analyze", str(surrogate_pack), "--format",
+                     "markdown"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("# Login security summary")
+
+    for fmt in ("json", "markdown"):
+        assert cli.main(["report", "render", str(stored), "--format",
+                         fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "json":
+            assert captured.out == stored.read_text()
+
+
+def test_spar_subcommand_writes_a_lone_surrogate_as_its_escape(capsys):
+    assert cli.main(["spar", '{"a": "\\ud800"}']) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["children"]["a"]["raw"] == "\ud800"
+
+
 _GOOD_RECORD = {"domain": "a.example", "idps": [{"idp": "google"}]}
 
 

@@ -7,13 +7,21 @@ encoding (without one, a value such as "enp6enp6" is valid base64 of
 "zzzzzz").
 """
 
+import json
 import string
 from collections import Counter
+from contextlib import ExitStack
+from unittest import mock
+from urllib.parse import parse_qsl
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sso_auditor import spar
+from sso_auditor import classify, spar
+from sso_auditor.domains import split_url
+
+from conftest import load_bundle
 
 LEAF_ALPHABET = string.ascii_lowercase + string.digits + "!"
 
@@ -153,3 +161,160 @@ def test_budgets_hold_for_arbitrary_input(value, max_depth, max_nodes):
 def test_decode_never_raises(value):
     tree = spar.decode(value)
     assert tree.raw == value
+
+
+# ---------------------------------------------------------------------------
+# the guarded decoder against a reference copy of the unguarded one
+
+def _reference_decode_node(value, depth, max_depth, budget):
+    """Every codec tried in order, each running its own rejection tests."""
+    node = spar.SparNode(raw=value, decoding=spar.LEAF, depth=depth)
+    if depth >= max_depth:
+        return node
+    for attempt in (spar._try_jwt, spar._try_json, spar._try_form,
+                    spar._try_url, spar._try_percent, spar._try_base64):
+        if attempt(node, value, max_depth, budget):
+            break
+    if not node.children:
+        node.decoding = spar.LEAF
+    return node
+
+
+def _reference_json_child_text(value):
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
+
+
+def _reference_is_absolute_http_url(value):
+    if not spar._ABS_URL.match(value) or any(c.isspace() for c in value):
+        return False
+    parts = split_url(value)
+    return parts.scheme.lower() in ("http", "https") and bool(parts.netloc)
+
+
+def _reference_index(tree):
+    """The index by its definition: path[-1] -> (path, node), in preorder."""
+    hits = {}
+    for path, node in spar.walk(tree):
+        if path:
+            hits.setdefault(path[-1], []).append((path, node))
+    return hits
+
+
+def _with_reference(fn, *args):
+    """``fn(*args)`` with the reference attempt loop, ``parse_qsl`` and
+    ``json.dumps`` in place of the decoder's own."""
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(
+            spar, "_decode_node", _reference_decode_node))
+        stack.enter_context(mock.patch.object(
+            spar, "_form_pairs",
+            lambda text: parse_qsl(text, keep_blank_values=True)))
+        stack.enter_context(mock.patch.object(
+            spar, "_json_child_text", _reference_json_child_text))
+        return fn(*args)
+
+
+def _index_paths(hits):
+    return [(seg, [path for path, _ in found]) for seg, found in hits.items()]
+
+
+def _index_ids(hits):
+    """The index with each node by identity, for two indexes of one tree."""
+    return [(seg, [(path, id(node)) for path, node in found])
+            for seg, found in hits.items()]
+
+
+BUDGETS = ((8, 10_000), (2, 5), (1, 1))
+
+# pieces that pass or nearly pass each codec's first test
+_PIECES = [".", "{", "}", "[", "]", "=", "&", "%", "+", '"', ":", ",", " ",
+           "\t", "http", "HTTP", "https://x.example/p?", "http://[::1",
+           "\\u0063", "%7B", "%22", "%3D", "%26", "%2", "%zz", "%C3%A9",
+           "%C3", "a", "b", "c", "x", "0", "1", "-", "_", "/", "\u00e9",
+           "true", "null", "1.5", "eyJ"]
+hostile_text = st.lists(st.sampled_from(_PIECES), max_size=24).map("".join)
+
+
+def _jwt_of(payload: str) -> str:
+    header = spar.encode_base64url('{"alg":"HS256"}').rstrip("=")
+    return f"{header}.{spar.encode_base64url(payload).rstrip('=')}.c2ln"
+
+
+def _json_of(pair) -> str:
+    text, other = pair
+    return json.dumps({"k": text, "n": 7, "t": True, "f": False, "z": None,
+                       "x": 1.5, "l": [other, -3], "o": {"i": other}},
+                      ensure_ascii=False)
+
+
+hostile_values = st.recursive(
+    hostile_text,
+    lambda inner: st.one_of(
+        inner.map(spar.encode_base64), inner.map(spar.encode_base64url),
+        inner.map(_jwt_of), inner.map(spar.encode_percent),
+        st.tuples(inner, inner).map(_json_of),
+        st.lists(st.tuples(form_keys, inner), min_size=1,
+                 max_size=3).map(spar.encode_form),
+        st.tuples(inner, inner).map("=".join),
+        st.tuples(inner, inner).map("&".join),
+        st.tuples(st.sampled_from(["", " ", "\n "]), inner).map("".join),
+        inner.map(lambda text: "https://x.example/p?q=" + text)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_values)
+@example("  {\"a\": \"\\u0063=1\"}")
+@example("eyJhbGciOiJIUzI1NiJ9.e30.c2ln")
+@example("a=1&a=2&b=%3D%26&+=+&&=x")
+def test_guarded_decoder_equals_the_reference(value):
+    for max_depth, max_nodes in BUDGETS:
+        for decoder in (spar.decode, spar.decode_query_string):
+            want = _with_reference(decoder, value, max_depth, max_nodes)
+            got = decoder(value, max_depth, max_nodes)
+            assert got.to_dict() == want.to_dict()
+            assert _index_paths(spar.index(got)) == \
+                _index_paths(_reference_index(want))
+            assert spar.find_nested_urls(got) == [
+                (path, node.raw) for path, node in spar.walk(want)
+                if path and _reference_is_absolute_http_url(node.raw)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab=&%+2BC3A9zé ", max_size=40) | hostile_text)
+@example("%C3=%A9&&a+b=%2B+&=&x")
+def test_form_pairs_equal_parse_qsl(value):
+    assert list(spar._form_pairs(value)) == \
+        parse_qsl(value, keep_blank_values=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hostile_values | structures.map(lambda structure: structure[0]))
+def test_index_is_the_walk_definition(value):
+    for decoder in (spar.decode, spar.decode_query_string):
+        tree = decoder(value, 32, 10_000)
+        assert _index_ids(spar.index(tree)) == \
+            _index_ids(_reference_index(tree))
+
+
+@pytest.mark.parametrize("max_depth, max_nodes", BUDGETS)
+def test_fixture_pack_surfaces_index_and_decode_as_the_reference(
+        fixture_pack, max_depth, max_nodes):
+    root, _ = fixture_pack
+    surfaces = 0
+    for har in sorted(root.rglob("trace.har")):
+        trace = load_bundle(har.parent)
+        for entry in trace.entries:
+            got = classify._entry_trees(entry, max_depth, max_nodes)
+            want = _with_reference(classify._entry_trees, entry, max_depth,
+                                   max_nodes)
+            assert [(channel, tree.to_dict()) for channel, tree in got] == \
+                [(channel, tree.to_dict()) for channel, tree in want]
+            for _, tree in got:
+                surfaces += 1
+                assert _index_ids(spar.index(tree)) == \
+            _index_ids(_reference_index(tree))
+    assert surfaces > 0
