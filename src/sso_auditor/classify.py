@@ -2,11 +2,13 @@
 
 ``decode_trace`` decodes each parameter surface of a trace once (an HTTP
 entry's query, fragment and body, an in-browser message's payload) under
-the run's SPAR budgets, indexes each tree by path segment, and extracts the
-protocol parameters.  Detection, response matching, the security rules and
-the privacy detectors all read this view instead of decoding again.  A
-second recording of a login is decoded only inside ``find_logins``, and
-only where a partner of a first-run login request can be.
+the run's SPAR budgets.  SPAR records the nodes named after a protocol
+parameter while it decodes; only those hits are kept, and the first of
+each name gives the item's protocol parameters.  Detection, response
+matching, the security rules and the privacy detectors all read this view
+instead of decoding again.  A second recording of a login is decoded only
+inside ``find_logins``, and only where a partner of a first-run login
+request can be.
 
 Detection is parameter-driven: an HTTP entry or an in-browser message is a
 login request when its decoded parameters carry both ``client_id`` and
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from typing import Callable
 
 from . import spar
 from .domains import origin_of, split_url, url_host
@@ -221,14 +224,25 @@ def _mime(body_mime: str | None) -> str:
 
 @dataclass(frozen=True)
 class DecodedItem:
-    """One HTTP entry (query, fragment, body surfaces) or IBC event (payload):
-    the first hit per parameter name across its surfaces, in that order, and
-    the first surface carrying a token parameter, if any."""
+    """One HTTP entry (query, fragment, body surfaces) or IBC event (payload).
+
+    ``surfaces`` holds, per surface with any, the hits of the parameter
+    names (``_PARAM_NAMES``): each name -> every ``(path, node)`` ending in
+    it, in preorder; no other segment is kept.  ``params`` and
+    ``locations`` give the first hit per name across the surfaces, in that
+    order, and ``token_channel`` the first surface carrying a token
+    parameter, if any.
+    """
 
     surfaces: tuple[tuple[str, spar.SegmentIndex], ...]
     params: SsoParams
     locations: dict[str, ParamLocation]
     token_channel: str | None
+
+
+# every item that was not decoded or has no parameter hits; never mutated
+_EMPTY_ITEM = DecodedItem(surfaces=(), params=SsoParams(), locations={},
+                          token_channel=None)
 
 
 @dataclass(frozen=True)
@@ -258,24 +272,30 @@ def decode_trace(trace: Trace, max_depth: int = spar.DEFAULT_MAX_DEPTH,
     return DecodedTrace(
         trace=trace,
         entries=tuple(
-            _decoded_item(_entry_trees(entry, max_depth, max_nodes)
-                          if idps is None or registry.match_authorization(
-                              entry.request.url) in idps else [])
+            _decoded_item(_entry_surfaces(entry), max_depth, max_nodes)
+            if idps is None
+            or registry.match_authorization(entry.request.url) in idps
+            else _EMPTY_ITEM
             for entry in trace.entries),
         ibc_events=tuple(
-            _decoded_item([(CHANNEL_POST_MESSAGE,
-                            spar.decode(event.payload, max_depth, max_nodes))]
-                          if idps is None or registry.match_origin(
-                              event.target_origin) in idps else [])
+            _decoded_item([(CHANNEL_POST_MESSAGE, spar.decode, event.payload)],
+                          max_depth, max_nodes)
+            if idps is None
+            or registry.match_origin(event.target_origin) in idps
+            else _EMPTY_ITEM
             for event in trace.ibc_events),
         max_depth=max_depth,
         max_nodes=max_nodes,
     )
 
 
-def _entry_trees(entry: HttpEntry, max_depth: int, max_nodes: int,
-                 ) -> list[tuple[str, spar.SparNode]]:
-    """Decoded parameter surfaces of a request: query, fragment, body."""
+# (channel, spar.decode or spar.decode_query_string, value)
+Surface = tuple[str, Callable[..., spar.SparNode], str]
+
+
+def _entry_surfaces(entry: HttpEntry) -> list[Surface]:
+    """Parameter surfaces of a request: query, fragment, body, each with the
+    decoder it is read with."""
     parts = split_url(entry.request.url)
     mime = _mime(entry.request.body_mime)
     body = entry.request.body if mime in _PARSED_BODY_MIMES else None
@@ -283,17 +303,26 @@ def _entry_trees(entry: HttpEntry, max_depth: int, max_nodes: int,
     surfaces = ((CHANNEL_QUERY, parts.query, True),
                 (CHANNEL_FRAGMENT, parts.fragment, "=" in parts.fragment),
                 (CHANNEL_BODY, body, mime == "application/x-www-form-urlencoded"))
-    return [(channel, (spar.decode_query_string if as_query else spar.decode)(
-                value, max_depth, max_nodes))
+    return [(channel, spar.decode_query_string if as_query else spar.decode,
+             value)
             for channel, value, as_query in surfaces if value]
 
 
-def _decoded_item(trees: list[tuple[str, spar.SparNode]]) -> DecodedItem:
-    surfaces = tuple((channel, spar.index(tree)) for channel, tree in trees)
+def _decoded_item(surfaces: list[Surface], max_depth: int,
+                  max_nodes: int) -> DecodedItem:
+    hit_surfaces = []
+    for channel, decoder, value in surfaces:
+        hits: spar.SegmentIndex = {name: [] for name in _PARAM_NAMES}
+        decoder(value, max_depth, max_nodes, hits=hits)
+        found = {name: nodes for name, nodes in hits.items() if nodes}
+        if found:
+            hit_surfaces.append((channel, found))
+    if not hit_surfaces:
+        return _EMPTY_ITEM
     values: dict[str, str] = {}
     locations: dict[str, ParamLocation] = {}
     token_channel = None
-    for channel, hits in surfaces:
+    for channel, hits in hit_surfaces:
         for name in _PARAM_NAMES:
             if name in hits and name not in values:
                 path, node = hits[name][0]
@@ -312,7 +341,7 @@ def _decoded_item(trees: list[tuple[str, spar.SparNode]]) -> DecodedItem:
         raw = payload.get("at_hash")
         if isinstance(raw, str):
             at_hash = raw
-    return DecodedItem(surfaces=surfaces,
+    return DecodedItem(surfaces=tuple(hit_surfaces),
                        params=SsoParams(**values, at_hash=at_hash),
                        locations=locations, token_channel=token_channel)
 

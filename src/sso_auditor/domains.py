@@ -10,6 +10,7 @@ a deployment needs more.
 from __future__ import annotations
 
 import ipaddress
+import re
 from urllib.parse import SplitResult, urlsplit
 
 # Multi-label public suffixes seen often enough to matter.  Single-label
@@ -33,6 +34,8 @@ _MULTI_LABEL_SUFFIXES = frozenset({
 
 EXTRA_SUFFIXES: set[str] = set()
 
+_DOTTED_DIGITS = re.compile(r"[0-9.]+")
+
 
 def registrable_domain(host: str) -> str:
     """Collapse a host name to its registrable domain.
@@ -42,11 +45,15 @@ def registrable_domain(host: str) -> str:
     host = host.strip().strip(".").lower()
     if not host:
         return host
-    try:
-        ipaddress.ip_address(host.strip("[]"))
-        return host
-    except ValueError:
-        pass
+    # ip_address accepts only IPv6 (a ":") or dotted ASCII digits; asking
+    # it about every other name would raise and catch for nothing
+    bare = host.strip("[]")
+    if ":" in bare or _DOTTED_DIGITS.fullmatch(bare):
+        try:
+            ipaddress.ip_address(bare)
+            return host
+        except ValueError:
+            pass
     labels = host.split(".")
     if len(labels) <= 2:
         return host

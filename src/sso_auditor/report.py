@@ -126,7 +126,7 @@ def _render_markdown(report: dict) -> str:
         lines += ["", "# Skipped units", ""]
         lines += markdown_table(
             ["Unit", "Error"],
-            [[_cell(error.get("unit", "?")), _cell(error.get("error", "?"))]
+            [[error.get("unit", "?"), error.get("error", "?")]
              for error in errors])
 
     return "\n".join(lines) + "\n"
@@ -155,14 +155,15 @@ def _landscape_table(fragments: list[dict]) -> list[str]:
 
 
 def _cell(text: object) -> str:
-    """Outside text (a directory name, an error message) as one table cell:
-    on one line, with ``|`` escaped."""
+    """A value as one table cell: ``str`` of it on one line, with ``|``
+    escaped.  Labels come from outside input (an IdP name in ``meta.json``
+    or a registry, a directory name, an error message)."""
     return " ".join(str(text).split()).replace("|", "\\|")
 
 
-def markdown_table(header: list[str], rows: list[list[object]]) -> list[str]:
-    """The lines of a Markdown table; cells are written with ``str``."""
+def markdown_table(header: list[object], rows: list[list[object]]) -> list[str]:
+    """The lines of a Markdown table; every cell is written with ``_cell``."""
     def line(cells) -> str:
-        return "| " + " | ".join(str(cell) for cell in cells) + " |"
+        return "| " + " | ".join(map(_cell, cells)) + " |"
     return [line(header), "|" + "|".join([" --- "] * len(header)) + "|",
             *map(line, rows)]

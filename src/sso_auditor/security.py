@@ -429,8 +429,7 @@ def check_secret_leakage(view: DecodedTrace, requests: list[SsoMessage],
         dest_site = registrable_domain(url_host(entry.request.url))
         if dest_site == client_site or dest_site in idp_sites:
             continue
-        path = _first_token_path(spar.index(
-            spar.decode(referer, cfg.max_spar_depth, cfg.max_spar_nodes)))
+        path = _token_path(spar.decode, referer, cfg)
         if path is not None:
             referer_evidence.append(Evidence(
                 entry_index=index, spar_path=f"referer:{spar.render_path(path)}",
@@ -462,10 +461,18 @@ def check_secret_leakage(view: DecodedTrace, requests: list[SsoMessage],
     return findings
 
 
+def _token_path(decoder, value: str, cfg: RuleConfig) -> spar.Path | None:
+    """Path of the first token parameter in ``value`` as ``decoder``
+    (``spar.decode`` or ``spar.decode_query_string``) reads it."""
+    hits: spar.SegmentIndex = {name: [] for name in classify.TOKEN_PARAMS}
+    decoder(value, cfg.max_spar_depth, cfg.max_spar_nodes, hits=hits)
+    return _first_token_path(hits)
+
+
 def _first_token_path(hits: spar.SegmentIndex) -> spar.Path | None:
     """Path of the first hit of the first token parameter present."""
     for name in classify.TOKEN_PARAMS:
-        if name in hits:
+        if hits.get(name):
             return hits[name][0][0]
     return None
 
@@ -501,10 +508,9 @@ def check_transport(trace: Trace, requests: list[SsoMessage], idp: str,
             continue
         target = entry.response.redirect_target
         parts = split_url(target)
-        indexes = (spar.index(spar.decode_query_string(
-                       component, cfg.max_spar_depth, cfg.max_spar_nodes))
-                   for component in (parts.query, parts.fragment) if component)
-        if any(_first_token_path(hits) is not None for hits in indexes):
+        if any(_token_path(spar.decode_query_string, component, cfg)
+               is not None
+               for component in (parts.query, parts.fragment) if component):
             findings.append(Finding(
                 rule_id=RULE_307_RESPONSE, idp=idp,
                 evidence=(Evidence(entry_index=index, spar_path="location",

@@ -29,16 +29,32 @@ of 4.
 Stops are silent: depth and node budgets truncate the tree, and JSON nested
 too deeply to load stays a leaf; none of them raises.  A node is a leaf
 exactly when it has no children.
+
+Percent-decoding (form keys and values, and the percent codec) gives
+exactly what ``urllib.parse.unquote`` gives.  ASCII text is decoded by the
+C escape decoder: every backslash is doubled and every "%" becomes "\\x",
+so the only escapes left are "\\\\" and "\\xHH".  Non-ASCII text, and a
+"%" not followed by two hex digits (which ``unquote`` keeps as it is), fall
+back to ``unquote``.
+
+Given ``hits``, a dict from path segment to a list, ``decode`` and
+``decode_query_string`` append ``(path, node)`` to ``hits[name]`` for every
+node of the tree whose final path segment is a key ``name`` of ``hits``, in
+preorder; other segments are not recorded.  Starting from empty lists,
+``hits[name]`` ends as every ``(path, node)`` of the tree whose path ends in
+``name``, in preorder (the root, with the empty path, is never recorded).
+Callers that read a few parameter names thus need no second walk.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import codecs
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 from urllib.parse import SplitResult, unquote
 
 from .domains import split_url
@@ -62,7 +78,7 @@ Path = tuple[str, ...]
 _B64URL_SEGMENT = re.compile(r"[A-Za-z0-9_-]+={0,2}")
 _B64_STD = re.compile(r"[A-Za-z0-9+/]+={0,2}")
 # Keys a form pair may use.  Deliberately narrow: misreading a URL or a JWT
-# as a form creates false structure that index() would then report.
+# as a form creates false structure that a parameter lookup would report.
 _FORM_KEY = re.compile(r"[A-Za-z0-9_.%+~\[\]-]+")
 _ABS_URL = re.compile(r"https?://", re.IGNORECASE)
 
@@ -90,12 +106,21 @@ class SparNode:
         return json.dumps(self.to_dict(), indent=indent, ensure_ascii=False)
 
 
-class _Budget:
-    __slots__ = ("used", "limit")
+SegmentIndex = dict[str, list[tuple[Path, SparNode]]]
 
-    def __init__(self, limit: int):
+
+class _Budget:
+    """The node budget of one decode, and the hits it records; ``path``,
+    kept only when ``hits`` is given, is the path of the node being
+    decoded."""
+
+    __slots__ = ("used", "limit", "hits", "path")
+
+    def __init__(self, limit: int, hits: SegmentIndex | None = None):
         self.used = 0
         self.limit = limit
+        self.hits = hits
+        self.path: Path = ()
 
     def take(self) -> bool:
         if self.used >= self.limit:
@@ -105,25 +130,31 @@ class _Budget:
 
 
 def decode(value: str, max_depth: int = DEFAULT_MAX_DEPTH,
-           max_nodes: int = DEFAULT_MAX_NODES) -> SparNode:
-    """Decode one string into a tree.  Never raises on hostile input."""
+           max_nodes: int = DEFAULT_MAX_NODES, *,
+           hits: SegmentIndex | None = None) -> SparNode:
+    """Decode one string into a tree.  Never raises on hostile input.
+
+    ``hits`` receives the nodes under its own keys (see the module doc).
+    """
     if max_depth < 1 or max_nodes < 1:
         raise ValueError("max_depth and max_nodes must be >= 1")
-    budget = _Budget(max_nodes)
+    budget = _Budget(max_nodes, hits)
     budget.take()  # root
     return _decode_node(value, 0, max_depth, budget)
 
 
 def decode_query_string(value: str, max_depth: int = DEFAULT_MAX_DEPTH,
-                        max_nodes: int = DEFAULT_MAX_NODES) -> SparNode:
+                        max_nodes: int = DEFAULT_MAX_NODES, *,
+                        hits: SegmentIndex | None = None) -> SparNode:
     """Decode a string already known to be a URL query component.
 
     Unlike ``decode`` this skips the codec heuristics for the top layer, so
-    even a single blank parameter ("flag=") becomes a child.
+    even a single blank parameter ("flag=") becomes a child.  ``hits`` is
+    filled as by ``decode``.
     """
     if max_depth < 1 or max_nodes < 1:
         raise ValueError("max_depth and max_nodes must be >= 1")
-    budget = _Budget(max_nodes)
+    budget = _Budget(max_nodes, hits)
     budget.take()
     return _query_node(value, 0, max_depth, budget)
 
@@ -169,12 +200,39 @@ def _decode_node(value: str, depth: int, max_depth: int, budget: _Budget) -> Spa
 
 
 def _add_child(node: SparNode, segment: str, value: str, max_depth: int,
-               budget: _Budget) -> bool:
+               budget: _Budget,
+               build: Callable[..., SparNode] | None = None) -> bool:
+    """Attach ``build(value, ...)`` (``_decode_node`` by default) under
+    ``segment``; False when the depth limit or the node budget stops it.
+
+    A requested segment's hit slot is reserved before the child is built,
+    so hits stay in preorder.
+    """
     if node.depth >= max_depth or not budget.take():
         return False
-    node.children[segment] = _decode_node(value, node.depth + 1, max_depth,
-                                          budget)
+    build = build or _decode_node
+    hits = budget.hits
+    if hits is None:
+        node.children[segment] = build(value, node.depth + 1, max_depth,
+                                       budget)
+        return True
+    parent_path = budget.path
+    path = budget.path = parent_path + (segment,)
+    found = hits.get(segment)
+    if found is not None:
+        slot = len(found)
+        found.append(None)  # reserved until the child is built
+    child = node.children[segment] = build(value, node.depth + 1, max_depth,
+                                           budget)
+    budget.path = parent_path
+    if found is not None:
+        found[slot] = (path, child)
     return True
+
+
+def _leaf_node(value: str, depth: int, max_depth: int,
+               budget: _Budget) -> SparNode:
+    return SparNode(value, LEAF, {}, depth)
 
 
 def _try_jwt(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bool:
@@ -204,9 +262,8 @@ def _try_jwt(node: SparNode, value: str, max_depth: int, budget: _Budget) -> boo
                payload_text if payload_text is not None else payload_seg,
                max_depth, budget)
     if node.children:
-        if budget.take():
-            node.children["signature"] = SparNode(
-                signature_seg, LEAF, {}, node.depth + 1)
+        _add_child(node, "signature", signature_seg, max_depth, budget,
+                   _leaf_node)
     return bool(node.children)
 
 
@@ -290,12 +347,24 @@ def _form_pairs(value: str) -> Iterator[tuple[str, str]]:
         if "+" in key:
             key = key.replace("+", " ")
         if "%" in key:
-            key = unquote(key)
+            key = _unquote(key)
         if "+" in val:
             val = val.replace("+", " ")
         if "%" in val:
-            val = unquote(val)
+            val = _unquote(val)
         yield key, val
+
+
+def _unquote(value: str) -> str:
+    """``unquote(value)``, by the C escape decoder for ASCII text."""
+    if value.isascii():
+        try:
+            return codecs.escape_decode(
+                value.replace("\\", "\\\\").replace("%", "\\x")
+            )[0].decode("utf-8", "replace")
+        except ValueError:  # a "%" not followed by two hex digits
+            pass
+    return unquote(value)
 
 
 def _try_url(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bool:
@@ -307,9 +376,9 @@ def _try_url(node: SparNode, value: str, max_depth: int, budget: _Budget) -> boo
     _add_child(node, "host", parts.netloc, max_depth, budget)
     if parts.path:
         _add_child(node, "path", parts.path, max_depth, budget)
-    if parts.query and node.depth < max_depth and budget.take():
-        node.children["query-string"] = _query_node(
-            parts.query, node.depth + 1, max_depth, budget)
+    if parts.query:
+        _add_child(node, "query-string", parts.query, max_depth, budget,
+                   _query_node)
     if parts.fragment:
         _add_child(node, "fragment", parts.fragment, max_depth, budget)
     return bool(node.children)
@@ -318,19 +387,21 @@ def _try_url(node: SparNode, value: str, max_depth: int, budget: _Budget) -> boo
 def _try_percent(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bool:
     if "%" not in value:
         return False
-    decoded = unquote(value)
+    decoded = _unquote(value)
     if decoded == value:
         return False
     # only unwrap when the decoded string itself has structure
     snapshot = budget.used
-    if not budget.take():
+    if not _add_child(node, "decoded", decoded, max_depth, budget):
         return False
-    child = _decode_node(decoded, node.depth + 1, max_depth, budget)
-    if child.is_leaf:
+    if node.children["decoded"].is_leaf:
+        # a leaf has no descendants, so its own hit is the last one
+        del node.children["decoded"]
         budget.used = snapshot
+        if budget.hits is not None and "decoded" in budget.hits:
+            budget.hits["decoded"].pop()
         return False
     node.decoding = PERCENT
-    node.children["decoded"] = child
     return True
 
 
@@ -405,27 +476,6 @@ def walk(tree: SparNode) -> Iterator[tuple[Path, SparNode]]:
         yield path, node
         stack.extend(reversed([(path + (seg,), child)
                                for seg, child in node.children.items()]))
-
-
-SegmentIndex = dict[str, list[tuple[Path, SparNode]]]
-
-
-def index(tree: SparNode) -> SegmentIndex:
-    """Final path segment -> every (path, node) ending in it, in preorder.
-
-    One walk answers every later lookup by segment name (case-sensitive);
-    the first hit for a name is its first occurrence in preorder.
-    """
-    hits: SegmentIndex = {}
-    _index_children(tree, (), hits)
-    return hits
-
-
-def _index_children(node: SparNode, path: Path, hits: SegmentIndex) -> None:
-    for segment, child in node.children.items():
-        child_path = path + (segment,)
-        hits.setdefault(segment, []).append((child_path, child))
-        _index_children(child, child_path, hits)
 
 
 def find_nested_urls(tree: SparNode) -> list[tuple[Path, str]]:

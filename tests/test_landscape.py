@@ -125,6 +125,16 @@ def test_render_diff_markdown_table():
         "| Removed | 0 | 0 | 0 |\n")
 
 
+def test_render_diff_markdown_keeps_each_idp_label_in_one_cell():
+    diff = LandscapeDiff(added=(("a.example", "Go|og\nle"),), removed=(),
+                         websites_added=("a.example",), websites_removed=())
+    assert render_diff_markdown(diff) == (
+        "| Change | Go\\|og le | Websites |\n"
+        "| --- | --- | --- |\n"
+        "| Added | 1 | 1 |\n"
+        "| Removed | 0 | 0 |\n")
+
+
 def test_render_diff_markdown_empty():
     # each row has as many cells as the header, also with no IdP columns
     assert render_diff_markdown(diff_scans([], [])) == (

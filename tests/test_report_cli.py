@@ -1,8 +1,10 @@
 """Unit tests for report assembly, rendering, and the command line."""
 
 import hashlib
+import itertools
 import json
 import random
+import re
 import shutil
 
 import pytest
@@ -251,6 +253,40 @@ def test_unit_errors_do_not_depend_on_the_root_path(tmp_path, monkeypatch,
         {"unit": "c.example/google", "error": "no meta.json in run2"},
     ]
     assert "| c.example/google | no meta.json in run2 |" in outputs[1]
+
+
+def _table_cells(line: str) -> list[str]:
+    """The cells of one Markdown table row; an escaped "\\|" is no border."""
+    assert line.startswith("| ") and line.endswith(" |"), line
+    return re.split(r" (?<!\\)\| ", line[2:-2])
+
+
+def test_markdown_tables_keep_outside_labels_in_one_cell(tmp_path, capsys):
+    # an IdP label from meta.json and a unit name with "|" and a line break;
+    # no login is detected, so the label names the plain-http finding's row
+    # (a finding that is no vulnerability and has no summary column)
+    root = tmp_path / "traces"
+    for run in (1, 2):
+        write_bundle(root / "shop.example" / "google" / f"run{run}",
+                     build_har([har_entry("http://shop.example/login")]),
+                     build_meta("shop.example", idp="Go|og\nle",
+                                run_index=run))
+    (root / "bad|site.example" / "google").mkdir(parents=True)
+    assert cli.main(["analyze", str(root), "--format", "markdown"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    tables = 0
+    for number, line in enumerate(lines):
+        if line.startswith("|") and not lines[number - 1].startswith("|"):
+            tables += 1
+            width = len(_table_cells(line))
+            rows = itertools.takewhile(bool, lines[number + 1:])
+            assert all(len(_table_cells(row)) == width
+                       for row in rows if not row.startswith("| ---"))
+    assert tables == 2  # the summary and the skipped units
+    assert any(line.startswith("| Go\\|og le | 0 |") for line in lines)
+    assert any(line.startswith("| bad\\|site.example/google | ")
+               for line in lines)
 
 
 def test_config_env_and_flag_precedence(tmp_path, monkeypatch, capsys):

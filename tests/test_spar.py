@@ -104,8 +104,10 @@ def test_find_nested_urls():
 
 
 def test_search_outer_first():
-    tree = spar.decode_query_string("state=" + spar.encode_percent("state=a"))
-    hits = spar.index(tree)["state"]
+    found = {"state": []}
+    spar.decode_query_string("state=" + spar.encode_percent("state=a"),
+                             hits=found)
+    hits = found["state"]
     assert len(hits) == 2
     outer, inner = hits
     assert len(outer[0]) < len(inner[0])

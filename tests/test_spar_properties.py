@@ -12,7 +12,7 @@ import string
 from collections import Counter
 from contextlib import ExitStack
 from unittest import mock
-from urllib.parse import parse_qsl
+from urllib.parse import parse_qsl, unquote
 
 import pytest
 from hypothesis import example, given, settings
@@ -193,8 +193,10 @@ def _reference_is_absolute_http_url(value):
     return parts.scheme.lower() in ("http", "https") and bool(parts.netloc)
 
 
-def _reference_index(tree):
-    """The index by its definition: path[-1] -> (path, node), in preorder."""
+def index(tree):
+    """The segment index by its definition: final path segment -> every
+    (path, node) ending in it, in preorder, root excluded.  SPAR's recorded
+    ``hits`` are checked against it."""
     hits = {}
     for path, node in spar.walk(tree):
         if path:
@@ -202,15 +204,34 @@ def _reference_index(tree):
     return hits
 
 
+# segments the codecs name themselves, and parameter names
+CODEC_SEGMENTS = ("decoded", "query-string", "payload", "signature", "header",
+                  "0", "1", "scheme", "host", "path", "fragment")
+REQUESTED_NAMES = CODEC_SEGMENTS + ("a", "k", "q", "x", "state", "absent")
+
+
+def _decode_with_hits(decoder, value, max_depth, max_nodes, names):
+    """(tree, hits) of ``decoder`` asked to record ``names``."""
+    hits = {name: [] for name in names}
+    return decoder(value, max_depth, max_nodes, hits=hits), hits
+
+
+def _index_of(tree, names):
+    """What ``hits`` keyed by ``names`` must hold for ``tree``."""
+    found = index(tree)
+    return {name: found.get(name, []) for name in names}
+
+
 def _with_reference(fn, *args):
-    """``fn(*args)`` with the reference attempt loop, ``parse_qsl`` and
-    ``json.dumps`` in place of the decoder's own."""
+    """``fn(*args)`` with the reference attempt loop, ``parse_qsl``,
+    ``unquote`` and ``json.dumps`` in place of the decoder's own."""
     with ExitStack() as stack:
         stack.enter_context(mock.patch.object(
             spar, "_decode_node", _reference_decode_node))
         stack.enter_context(mock.patch.object(
             spar, "_form_pairs",
             lambda text: parse_qsl(text, keep_blank_values=True)))
+        stack.enter_context(mock.patch.object(spar, "_unquote", unquote))
         stack.enter_context(mock.patch.object(
             spar, "_json_child_text", _reference_json_child_text))
         return fn(*args)
@@ -276,8 +297,11 @@ def test_guarded_decoder_equals_the_reference(value):
             want = _with_reference(decoder, value, max_depth, max_nodes)
             got = decoder(value, max_depth, max_nodes)
             assert got.to_dict() == want.to_dict()
-            assert _index_paths(spar.index(got)) == \
-                _index_paths(_reference_index(want))
+            names = dict.fromkeys([*index(want), *CODEC_SEGMENTS])
+            got, hits = _decode_with_hits(decoder, value, max_depth,
+                                          max_nodes, names)
+            assert got.to_dict() == want.to_dict()
+            assert _index_paths(hits) == _index_paths(_index_of(want, names))
             assert spar.find_nested_urls(got) == [
                 (path, node.raw) for path, node in spar.walk(want)
                 if path and _reference_is_absolute_http_url(node.raw)]
@@ -292,12 +316,48 @@ def test_form_pairs_equal_parse_qsl(value):
 
 
 @settings(max_examples=200, deadline=None)
-@given(hostile_values | structures.map(lambda structure: structure[0]))
-def test_index_is_the_walk_definition(value):
-    for decoder in (spar.decode, spar.decode_query_string):
-        tree = decoder(value, 32, 10_000)
-        assert _index_ids(spar.index(tree)) == \
-            _index_ids(_reference_index(tree))
+@given(hostile_values | structures.map(lambda structure: structure[0]),
+       st.lists(st.sampled_from(REQUESTED_NAMES), unique=True))
+@example("a=%7B%22a%22%3A%22x%3D1%22%7D&a=eyJhbGciOiJIUzI1NiJ9.e30.c2ln", [])
+@example("x=https%3A%2F%2Fi.example%2Fp%3Fq%3D%2525&%=%zz", ["decoded"])
+def test_index_is_the_walk_definition(value, requested):
+    """The hits SPAR records while decoding are the index by its walk
+    definition, node by node and in preorder, for every segment of the
+    tree and for a drawn set of names; the tree does not change."""
+    for max_depth, max_nodes in ((32, 10_000), *BUDGETS):
+        for decoder in (spar.decode, spar.decode_query_string):
+            plain = decoder(value, max_depth, max_nodes)
+            every = dict.fromkeys([*index(plain), *REQUESTED_NAMES])
+            for names in (every, requested):
+                tree, hits = _decode_with_hits(decoder, value, max_depth,
+                                               max_nodes, names)
+                assert tree.to_dict() == plain.to_dict()
+                assert list(hits) == list(names)
+                assert _index_ids(hits) == _index_ids(_index_of(tree, names))
+
+
+# text near every edge of the escape decoder: escapes in both cases,
+# truncated ones, backslashes and "\x" look-alikes, controls, non-ASCII
+_QUOTED_PIECES = ["%", "%4", "%41", "%e9", "%E9", "%C3%A9", "%c3", "%zz",
+                  "%%", "%0", "%00", "%5C", "%5c", "%7f", "%80", "%FF",
+                  "\\", "\\x", "\\x4", "\\x41", "\\xzz", "\\\\", "\\%41",
+                  "x", "a", "F", "f", "9", "+", "&", "=", " ", "\x00",
+                  "\n", "\x7f", "\u00e9", "\u20ac", "\U0001f600"]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_QUOTED_PIECES), max_size=16).map("".join)
+       | st.text(alphabet="%\\x0123456789abcdefABCDEFg+&= \t\u00e9",
+                 max_size=30)
+       | st.text(max_size=20))
+@example("%")
+@example("abc%")
+@example("%4")
+@example("\\x41%41\\")
+@example("%C3%A9\u00e9%41")
+def test_unquote_equals_urllib_unquote(value):
+    assert spar._unquote(value) == unquote(value)
 
 
 @pytest.mark.parametrize("max_depth, max_nodes", BUDGETS)
@@ -308,13 +368,15 @@ def test_fixture_pack_surfaces_index_and_decode_as_the_reference(
     for har in sorted(root.rglob("trace.har")):
         trace = load_bundle(har.parent)
         for entry in trace.entries:
-            got = classify._entry_trees(entry, max_depth, max_nodes)
-            want = _with_reference(classify._entry_trees, entry, max_depth,
-                                   max_nodes)
-            assert [(channel, tree.to_dict()) for channel, tree in got] == \
-                [(channel, tree.to_dict()) for channel, tree in want]
-            for _, tree in got:
+            decoding = classify._entry_surfaces(entry)
+            wanted = _with_reference(lambda: [
+                decoder(value, max_depth, max_nodes)
+                for _, decoder, value in decoding])
+            for (_, decoder, value), want in zip(decoding, wanted):
                 surfaces += 1
-                assert _index_ids(spar.index(tree)) == \
-            _index_ids(_reference_index(tree))
+                names = dict.fromkeys([*index(want), *CODEC_SEGMENTS])
+                tree, hits = _decode_with_hits(decoder, value, max_depth,
+                                               max_nodes, names)
+                assert tree.to_dict() == want.to_dict()
+                assert _index_ids(hits) == _index_ids(_index_of(tree, names))
     assert surfaces > 0
