@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: ``analyze`` and ``privacy`` walk a trace directory, ``spar``
-decodes one value, ``landscape`` builds login-page queries and diffs scan
-records, ``report render`` re-renders a stored report.
+decodes one value, ``landscape queries`` builds login-page search queries,
+``report render`` re-renders a stored report and ``report diff`` compares
+two stored ``analyze`` reports.
 
 A trace directory holds one unit per ``<domain>/<idp>`` directory.  A unit
 that cannot be read or analyzed is left out of the report and named, with
@@ -91,25 +92,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_spar.add_argument("--max-nodes", type=int, default=spar.DEFAULT_MAX_NODES)
     p_spar.set_defaults(func=_cmd_spar)
 
-    p_land = sub.add_parser("landscape", help="scan record utilities")
+    p_land = sub.add_parser("landscape", help="login page discovery")
     land_sub = p_land.add_subparsers(dest="landscape_command")
     p_land.set_defaults(func=lambda args: (_print_err("landscape needs a "
                                                       "subcommand"), EXIT_ERROR)[1])
-
-    p_diff = land_sub.add_parser("diff", help="diff two scan record files")
-    p_diff.add_argument("prev")
-    p_diff.add_argument("next")
-    p_diff.add_argument("--format", choices=("json", "markdown"),
-                        default="json")
-    p_diff.add_argument("--out", metavar="PATH")
-    p_diff.set_defaults(func=_cmd_landscape_diff)
-
     p_queries = land_sub.add_parser("queries",
                                     help="print login page search queries")
     p_queries.add_argument("domain")
     p_queries.set_defaults(func=_cmd_landscape_queries)
 
-    p_report = sub.add_parser("report", help="re-render a stored report")
+    p_report = sub.add_parser("report",
+                              help="re-render or compare stored reports")
     report_sub = p_report.add_subparsers(dest="report_command")
     p_report.set_defaults(func=lambda args: (_print_err("report needs a "
                                                         "subcommand"), EXIT_ERROR)[1])
@@ -118,6 +111,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--format", default="json")
     p_render.add_argument("--out", metavar="PATH")
     p_render.set_defaults(func=_cmd_report_render)
+
+    p_diff = report_sub.add_parser("diff",
+                                   help="compare two stored analyze reports")
+    p_diff.add_argument("old_report")
+    p_diff.add_argument("new_report")
+    p_diff.add_argument("--format", default="json")
+    p_diff.add_argument("--out", metavar="PATH")
+    p_diff.set_defaults(func=_cmd_report_diff)
 
     return parser
 
@@ -278,35 +279,39 @@ def _cmd_spar(args) -> int:
     return EXIT_OK
 
 
-def _cmd_landscape_diff(args) -> int:
-    prev = landscape_mod.load_scan_records(Path(args.prev).read_bytes())
-    next_ = landscape_mod.load_scan_records(Path(args.next).read_bytes())
-    diff = landscape_mod.diff_scans(prev, next_)
-    if args.format == "markdown":
-        text = landscape_mod.render_diff_markdown(diff)
-    else:
-        text = report_mod.canonical_json(asdict(diff))
-    _emit(text, getattr(args, "out", None))
-    return EXIT_OK
-
-
 def _cmd_landscape_queries(args) -> int:
     for query in landscape_mod.build_search_queries(args.domain):
         print(query)
     return EXIT_OK
 
 
-def _cmd_report_render(args) -> int:
-    doc = load_json(Path(args.report_file).read_bytes(), "report file")
+def _read_report(path: str) -> dict:
+    doc = load_json(Path(path).read_bytes(), "report file")
     if not isinstance(doc, dict):
         raise MalformedInput("report file must hold a JSON object")
+    return doc
+
+
+def _report_shaped(call, *args):
+    """``call(*args)``; a report part that is not the object or list it
+    reads gives MalformedInput."""
     try:
-        text = report_mod.render_report(doc, args.format)
-    except (AttributeError, TypeError) as exc:
-        # parts that are not the objects and lists the renderers read
+        return call(*args)
+    except (AttributeError, KeyError, TypeError) as exc:
         raise MalformedInput(f"report file does not have the report "
                              f"shape: {exc}") from exc
-    _emit(text, getattr(args, "out", None))
+
+
+def _cmd_report_render(args) -> int:
+    doc = _read_report(args.report_file)
+    _emit(_report_shaped(report_mod.render_report, doc, args.format), args.out)
+    return EXIT_OK
+
+
+def _cmd_report_diff(args) -> int:
+    old, new = _read_report(args.old_report), _read_report(args.new_report)
+    diff = _report_shaped(report_mod.diff_reports, old, new)
+    _emit(_report_shaped(report_mod.render_diff, diff, args.format), args.out)
     return EXIT_OK
 
 

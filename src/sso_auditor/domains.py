@@ -34,28 +34,31 @@ _MULTI_LABEL_SUFFIXES = frozenset({
 
 EXTRA_SUFFIXES: set[str] = set()
 
-_DOTTED_DIGITS = re.compile(r"[0-9.]+")
+# a last label that makes a host an IPv4 address (WHATWG URL "ends in a
+# number"): ASCII digits, or a 0x hex number, so "10.2.3" and "0x7f.0.0.1"
+# are addresses, not names under "2.3" and "0.1"
+_IPV4_NUMBER = re.compile(r"[0-9]+|0x[0-9a-f]*")
 
 
 def registrable_domain(host: str) -> str:
     """Collapse a host name to its registrable domain.
 
-    IP literals and single-label hosts are returned unchanged.
+    IP literals, hosts that end in a number (IPv4 forms such as
+    ``10.2.3``) and single-label hosts are returned unchanged.
     """
     host = host.strip().strip(".").lower()
     if not host:
         return host
-    # ip_address accepts only IPv6 (a ":") or dotted ASCII digits; asking
-    # it about every other name would raise and catch for nothing
-    bare = host.strip("[]")
-    if ":" in bare or _DOTTED_DIGITS.fullmatch(bare):
+    # without a ":", every host ip_address accepts ends in a number and is
+    # kept below; asking it about every name would raise and catch for nothing
+    if ":" in host:
         try:
-            ipaddress.ip_address(bare)
+            ipaddress.ip_address(host.strip("[]"))
             return host
         except ValueError:
             pass
     labels = host.split(".")
-    if len(labels) <= 2:
+    if len(labels) <= 2 or _IPV4_NUMBER.fullmatch(labels[-1].strip("[]")):
         return host
     tail2 = ".".join(labels[-2:])
     if tail2 in _MULTI_LABEL_SUFFIXES or tail2 in EXTRA_SUFFIXES:

@@ -7,6 +7,12 @@ the stored rows, so a stored report re-renders to the same Markdown: per
 identity provider, findings in the columns that ``data/rules.json`` assigns
 to rules, privacy leaks, the SSO landscape (websites and logins by
 protocol and requested flow), and the units that could not be analyzed.
+
+``diff_reports`` compares two stored ``analyze`` reports for monitoring:
+units added and removed, rule ids gained and lost and login rows changed
+per unit, the change in each landscape cell (counted by the same
+``_landscape_rows`` as the Markdown table), and the ``config`` keys that
+differ.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ _LANDSCAPE_COLUMNS = (
     *((flow, "requested_flow", flow)
       for flow in (FLOW_CODE, FLOW_HYBRID, FLOW_IMPLICIT, FLOW_UNKNOWN)),
 )
+_LANDSCAPE_HEADERS = ("Websites", "Logins",
+                      *(label for label, _, _ in _LANDSCAPE_COLUMNS))
 
 
 def build_report(security: list[SecurityAnalysis] | None = None,
@@ -133,25 +141,116 @@ def _render_markdown(report: dict) -> str:
 
 
 def _landscape_table(fragments: list[dict]) -> list[str]:
-    """The "SSO landscape" section, counted from the fragments' ``logins``
-    rows; no lines when there are none."""
+    """The "SSO landscape" section; no lines when there are no login rows."""
+    rows = _landscape_rows(fragments)
+    if not rows:
+        return []
+    return ["", "# SSO landscape", ""] + markdown_table(
+        ["IdP", *_LANDSCAPE_HEADERS],
+        [[label, *cells.values()] for label, cells in rows])
+
+
+def _landscape_rows(fragments: list[dict]) -> list[tuple[object, dict]]:
+    """The landscape table's rows, counted from the fragments' ``logins``
+    rows: ``(IdP, {column header: count})`` for each IdP in sorted order,
+    then the ``Total`` row.  Empty when there are no login rows."""
     logins = [(login.get("idp", "unknown"), fragment.get("domain"), login)
               for fragment in fragments for login in fragment.get("logins", [])]
     if not logins:
         return []
 
-    def row(label: str, group: list[tuple]) -> list[object]:
-        return [label, len({domain for _, domain, _ in group}), len(group),
-                *(sum(login.get(key) == value for _, _, login in group)
-                  for _, key, value in _LANDSCAPE_COLUMNS)]
+    def cells(group: list[tuple]) -> dict[str, int]:
+        return dict(zip(_LANDSCAPE_HEADERS, (
+            len({domain for _, domain, _ in group}), len(group),
+            *(sum(login.get(key) == value for _, _, login in group)
+              for _, key, value in _LANDSCAPE_COLUMNS))))
 
-    header = ["IdP", "Websites", "Logins",
-              *(label for label, _, _ in _LANDSCAPE_COLUMNS)]
     idps = sorted({idp for idp, _, _ in logins})
-    return ["", "# SSO landscape", ""] + markdown_table(
-        header,
-        [row(idp, [entry for entry in logins if entry[0] == idp])
-         for idp in idps] + [row("Total", logins)])
+    return [(idp, cells([entry for entry in logins if entry[0] == idp]))
+            for idp in idps] + [("Total", cells(logins))]
+
+
+def diff_reports(old: dict, new: dict) -> dict:
+    """What changed from the ``analyze`` report ``old`` to ``new``.
+
+    Only ``security`` and ``config`` are read.  A unit is keyed
+    ``<domain>/<idp>`` by its fragment's detected IdP; fragments that share
+    a key count as one unit.  Every section is empty when nothing changed.
+    """
+    before, after = _units(old), _units(new)
+    common = sorted(before.keys() & after.keys())
+    rules = [{"unit": unit,
+              "gained": sorted(after[unit][0] - before[unit][0]),
+              "lost": sorted(before[unit][0] - after[unit][0])}
+             for unit in common if before[unit][0] != after[unit][0]]
+    old_rows, new_rows = (dict(_landscape_rows(doc.get("security", [])))
+                          for doc in (old, new))
+    zero = dict.fromkeys(_LANDSCAPE_HEADERS, 0)
+    landscape = {label: {header: new_rows.get(label, zero)[header]
+                         - old_rows.get(label, zero)[header]
+                         for header in _LANDSCAPE_HEADERS}
+                 for label in old_rows.keys() | new_rows.keys()}
+    old_cfg, new_cfg = old.get("config", {}), new.get("config", {})
+    return {
+        "units_added": sorted(after.keys() - before.keys()),
+        "units_removed": sorted(before.keys() - after.keys()),
+        "rules": rules,
+        "logins": [{"unit": unit, "old": before[unit][1],
+                    "new": after[unit][1]}
+                   for unit in common if before[unit][1] != after[unit][1]],
+        "landscape": {label: cells for label, cells in landscape.items()
+                      if any(cells.values())},
+        "config": {key: {"old": old_cfg.get(key), "new": new_cfg.get(key)}
+                   for key in old_cfg.keys() | new_cfg.keys()
+                   if old_cfg.get(key) != new_cfg.get(key)},
+    }
+
+
+def _units(report: dict) -> dict[str, tuple[set, list]]:
+    """``<domain>/<idp>`` -> (rule ids, login rows in report order)."""
+    units: dict[str, tuple[set, list]] = {}
+    for fragment in report.get("security", []):
+        rule_ids, logins = units.setdefault(
+            f"{fragment['domain']}/{fragment['idp']}", (set(), []))
+        rule_ids.update(finding["rule_id"]
+                        for finding in fragment.get("findings", []))
+        logins += fragment.get("logins", [])
+    return units
+
+
+def render_diff(diff: dict, format: str = FORMAT_JSON) -> str:
+    """``diff_reports`` output as canonical JSON, or in Markdown as one
+    table per section."""
+    if format == FORMAT_JSON:
+        return canonical_json(diff)
+    if format != FORMAT_MARKDOWN:
+        raise UnknownFormat(f"unsupported report format: {format!r}")
+
+    def compact(value: object) -> str:
+        return json.dumps(value, sort_keys=True, ensure_ascii=False,
+                          separators=(",", ":"))
+
+    sections = (
+        ("Units added", ["Unit"], [[unit] for unit in diff["units_added"]]),
+        ("Units removed", ["Unit"],
+         [[unit] for unit in diff["units_removed"]]),
+        ("Rules", ["Unit", "Gained", "Lost"],
+         [[row["unit"], " ".join(map(str, row["gained"])),
+           " ".join(map(str, row["lost"]))] for row in diff["rules"]]),
+        ("Logins", ["Unit", "Old", "New"],
+         [[row["unit"], compact(row["old"]), compact(row["new"])]
+          for row in diff["logins"]]),
+        ("Landscape", ["IdP", *_LANDSCAPE_HEADERS],
+         [[label, *cells.values()]
+          for label, cells in sorted(diff["landscape"].items())]),
+        ("Config", ["Key", "Old", "New"],
+         [[key, compact(change["old"]), compact(change["new"])]
+          for key, change in sorted(diff["config"].items())]),
+    )
+    lines: list[str] = []
+    for title, header, rows in sections:
+        lines += ["", f"# {title}", "", *markdown_table(header, rows)]
+    return "\n".join(lines[1:]) + "\n"
 
 
 def _cell(text: object) -> str:

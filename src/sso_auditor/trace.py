@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from urllib.parse import urljoin
 
-from .domains import registrable_domain, split_url, url_host
+from .domains import split_url
 from .exceptions import EntryError, MalformedInput, MissingMetadataField
 
 PROFILE_LOGIN_RUN = "login-run"
@@ -131,7 +131,7 @@ def format_timestamp(stamp: datetime) -> str:
 # ---------------------------------------------------------------------------
 # HAR parsing
 
-def parse_har(data: bytes | str, metadata: TraceMetadata | None = None) -> Trace:
+def parse_har(data: bytes | str, metadata: TraceMetadata) -> Trace:
     """Parse a HAR 1.2 document.  Unknown fields are ignored, never fatal.
 
     Raises MalformedInput when the document is not JSON or has no
@@ -150,8 +150,7 @@ def parse_har(data: bytes | str, metadata: TraceMetadata | None = None) -> Trace
     ordered = tuple(entry for _, entry in entries)
 
     ibc = tuple(_parse_ibc_list(log.get("_ibc"))) if isinstance(log, dict) else ()
-    meta = metadata or _placeholder_metadata(ordered)
-    return Trace(metadata=meta, entries=ordered, ibc_events=ibc)
+    return Trace(metadata=metadata, entries=ordered, ibc_events=ibc)
 
 
 def load_json(data: bytes | str, what: str = "input") -> object:
@@ -276,25 +275,6 @@ def _parse_content(raw: object) -> tuple[str | None, str | None, bool]:
     return (text if isinstance(text, str) else None,
             mime if isinstance(mime, str) else None,
             truncated)
-
-
-def _placeholder_metadata(entries: tuple[HttpEntry, ...]) -> TraceMetadata:
-    if entries:
-        first = entries[0]
-        return TraceMetadata(
-            domain=registrable_domain(url_host(first.url)),
-            page_url=first.url,
-            captured_at=first.started_at,
-            profile_kind=PROFILE_LOGIN_RUN,
-            run_index=1,
-        )
-    return TraceMetadata(
-        domain="unknown.invalid",
-        page_url="https://unknown.invalid/",
-        captured_at=datetime.fromtimestamp(0, tz=timezone.utc),
-        profile_kind=PROFILE_LOGIN_RUN,
-        run_index=1,
-    )
 
 
 # ---------------------------------------------------------------------------

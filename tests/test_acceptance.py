@@ -15,14 +15,15 @@ from collections import Counter
 
 import pytest
 
-from sso_auditor import classify, cli, landscape, privacy, security, spar
+from sso_auditor import (
+    classify, cli, landscape, privacy, report, security, spar,
+)
 from sso_auditor.exceptions import ProfileMismatch
-from sso_auditor.landscape import IdpObservation, ScanRecord, diff_scans
 from sso_auditor.synth import (
     BASELINE_DOMAIN, LoginShape, build_big_har, build_har, build_meta,
     har_entry, write_login_unit, write_visit_unit,
 )
-from sso_auditor.trace import parse_har, parse_trace_bundle
+from sso_auditor.trace import parse_trace_bundle
 
 
 def criterion(label):
@@ -285,45 +286,100 @@ def test_search_query_fidelity():
 
 
 # ---------------------------------------------------------------------------
-# 6. scan diffs agree with a set-difference oracle
+# 6. report diffs agree with a set-difference oracle
 
-def _random_scan(rng, domains, idps):
-    records = []
-    pairs = set()
+_PROTOCOLS = {"oauth2": "OAuth 2.0", "oidc": "OIDC"}
+_FLOWS = ("code", "hybrid", "implicit", "unknown")
+
+
+def _random_report(rng, domains, idps):
+    """A stored ``analyze`` report of random units, and per unit key its
+    rule ids and login rows."""
+    fragments, units = [], {}
     for domain in domains:
-        observed = [idp for idp in idps if rng.random() < 0.5]
-        if not observed:
-            continue
-        records.append(ScanRecord(
-            domain=domain, scanned_at="2026-01-17T00:00:00Z",
-            idps=tuple(IdpObservation(idp, "keyword",
-                                      f"https://{domain}/login")
-                       for idp in observed)))
-        pairs.update((domain, idp) for idp in observed)
-    return records, pairs
+        for idp in idps:
+            if rng.random() < 0.5:
+                continue
+            rule_ids = {rule for rule in sorted(security.RULES)[:4]
+                        if rng.random() < 0.3}
+            logins = [{"idp": idp, "protocol": rng.choice(sorted(_PROTOCOLS)),
+                       "requested_flow": rng.choice(_FLOWS)}
+                      for _ in range(rng.randrange(3))]
+            fragments.append({"domain": domain, "idp": idp, "logins": logins,
+                              "findings": [{"rule_id": rule}
+                                           for rule in sorted(rule_ids)]})
+            units[f"{domain}/{idp}"] = (rule_ids, logins)
+    config = {"entropy_threshold_bits": rng.choice((64.0, 96.0)),
+              "idp_registry": "built-in"}
+    return {"config": config, "security": fragments}, units
 
 
-@criterion("6/9 landscape diff oracle")
+def _landscape_cells(units, idp):
+    """The landscape row of ``idp`` (``None``: the total) as a Counter."""
+    rows = [(unit.split("/")[0], login)
+            for unit, (_, logins) in units.items() for login in logins
+            if idp in (None, login["idp"])]
+    cells = Counter({"Websites": len({domain for domain, _ in rows}),
+                     "Logins": len(rows)})
+    cells.update(_PROTOCOLS[login["protocol"]] for _, login in rows)
+    cells.update(login["requested_flow"] for _, login in rows)
+    return cells
+
+
+def _swapped(diff):
+    return {
+        "units_added": diff["units_removed"],
+        "units_removed": diff["units_added"],
+        "rules": [{"unit": row["unit"], "gained": row["lost"],
+                   "lost": row["gained"]} for row in diff["rules"]],
+        "logins": [{"unit": row["unit"], "old": row["new"], "new": row["old"]}
+                   for row in diff["logins"]],
+        "landscape": {label: {header: -delta for header, delta in cells.items()}
+                      for label, cells in diff["landscape"].items()},
+        "config": {key: {"old": change["new"], "new": change["old"]}
+                   for key, change in diff["config"].items()},
+    }
+
+
+@criterion("6/9 report diff oracle")
 def test_diff_matches_set_oracle():
     rng = random.Random(11)
     domains = [f"site{i:03d}.example" for i in range(200)]
-    idps = ("google", "facebook", "apple")
+    idps = ("Apple", "Facebook", "Google")
+    headers = ["Websites", "Logins", *_PROTOCOLS.values(), *_FLOWS]
+    changed = Counter()
     for _ in range(20):
-        prev, prev_pairs = _random_scan(rng, domains, idps)
-        next_, next_pairs = _random_scan(rng, domains, idps)
-        diff = diff_scans(prev, next_)
-        assert diff.added == tuple(sorted(next_pairs - prev_pairs))
-        assert diff.removed == tuple(sorted(prev_pairs - next_pairs))
-        prev_sites = {d for d, _ in prev_pairs}
-        next_sites = {d for d, _ in next_pairs}
-        assert diff.websites_added == tuple(sorted(next_sites - prev_sites))
-        assert diff.websites_removed == tuple(sorted(prev_sites - next_sites))
+        old, before = _random_report(rng, domains, idps)
+        new, after = _random_report(rng, domains, idps)
+        diff = report.diff_reports(old, new)
+        common = sorted(before.keys() & after.keys())
+        assert diff["units_added"] == sorted(after.keys() - before.keys())
+        assert diff["units_removed"] == sorted(before.keys() - after.keys())
+        assert diff["rules"] == [
+            {"unit": unit, "gained": sorted(after[unit][0] - before[unit][0]),
+             "lost": sorted(before[unit][0] - after[unit][0])}
+            for unit in common if before[unit][0] != after[unit][0]]
+        assert diff["logins"] == [
+            {"unit": unit, "old": before[unit][1], "new": after[unit][1]}
+            for unit in common if before[unit][1] != after[unit][1]]
+        landscape = {}
+        for label, idp in [(idp, idp) for idp in idps] + [("Total", None)]:
+            delta = _landscape_cells(after, idp)
+            delta.subtract(_landscape_cells(before, idp))
+            if any(delta.values()):
+                landscape[label] = {header: delta[header] for header in headers}
+        assert diff["landscape"] == landscape
+        old_bits, new_bits = (doc["config"]["entropy_threshold_bits"]
+                              for doc in (old, new))
+        assert diff["config"] == ({} if old_bits == new_bits else {
+            "entropy_threshold_bits": {"old": old_bits, "new": new_bits}})
 
-        backward = diff_scans(next_, prev)
-        assert diff.added == backward.removed
-        assert diff.removed == backward.added
-        assert diff.websites_added == backward.websites_removed
-    return "20 random scan pairs over 200 domains x 3 IdPs"
+        assert report.diff_reports(new, old) == _swapped(diff)
+        assert not any(report.diff_reports(old, old).values())
+        changed.update(section for section, value in diff.items() if value)
+    # every section was exercised
+    assert set(changed) == set(diff)
+    return "20 random report pairs over 200 domains x 3 IdPs"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Each mutant copies one fixture-pack unit, damages one of its files (or an
 IdP registry file passed with ``--idp-registry``) and runs ``analyze`` on
 it.  Whatever the damage, the CLI must not raise, must exit 0, 1 or 2, and
-must print exactly one ``error:`` line when it exits 1.
+must print exactly one ``error:`` line when it exits 1.  The stored-report
+mutants damage the pack's JSON report the same way and feed it to ``report
+render`` and ``report diff``, which must exit 0 or 1 on the same terms.
 """
 
 import copy
@@ -148,3 +150,35 @@ def test_analyze_survives_mutated_input(fixture_pack, tmp_path, capsys, mutant):
         assert err.startswith("error:") and err.count("\n") == 1, (where, err)
     else:
         assert err == "", (where, err)
+
+
+REPORT_MUTANTS = 40
+
+
+@pytest.fixture(scope="module")
+def stored_report(fixture_pack, tmp_path_factory):
+    """The fixture pack's JSON report, as ``analyze --out`` stores it."""
+    pack, _ = fixture_pack
+    path = tmp_path_factory.mktemp("stored") / "report.json"
+    assert cli.main(["analyze", str(pack), "--out", str(path)]) == 2
+    return path
+
+
+@pytest.mark.parametrize("mutant", range(REPORT_MUTANTS))
+def test_report_commands_survive_mutated_stored_reports(stored_report, tmp_path,
+                                                       capsys, mutant):
+    rng = random.Random(SEED * 1000 + MUTANTS + mutant)
+    mutated, kind = _mutate(rng, stored_report.read_bytes())
+    bad = tmp_path / "mutant.json"
+    bad.write_bytes(mutated)
+    for argv in (["report", "render", str(bad)],
+                 ["report", "diff", str(stored_report), str(bad)]):
+        argv += ["--format", rng.choice(("json", "markdown"))]
+        code = cli.main(argv)
+        where = f"{kind}: {' '.join(argv[:2])}"
+        err = capsys.readouterr().err
+        assert code in (0, 1), where
+        if code == 1:
+            assert err.startswith("error:") and err.count("\n") == 1, (where, err)
+        else:
+            assert err == "", (where, err)

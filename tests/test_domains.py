@@ -1,4 +1,5 @@
 import ipaddress
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from sso_auditor.domains import registrable_domain
 
 
 def _reference_registrable_domain(host: str) -> str:
-    """``registrable_domain`` as it was before its IP test was guarded:
-    ``ip_address`` asked about every host."""
+    """``registrable_domain`` without the guard on its IP test: ``ip_address``
+    asked about every host, then the WHATWG "ends in a number" rule."""
     host = host.strip().strip(".").lower()
     if not host:
         return host
@@ -19,6 +20,9 @@ def _reference_registrable_domain(host: str) -> str:
         return host
     except ValueError:
         pass
+    last = host.strip("[]").split(".")[-1]
+    if last.isascii() and last.isdigit() or re.fullmatch(r"0x[0-9a-f]*", last):
+        return host
     labels = host.split(".")
     if len(labels) <= 2:
         return host
@@ -35,7 +39,8 @@ def _reference_registrable_domain(host: str) -> str:
     "[1234]", "1234", "::ffff:1.2.3.4", "[::ffff:1.2.3.4]", "...", ".", "",
     " 1.2.3.4 ", "1..2.3", "a.b.example.co.uk", "login.example.com",
     "x.github.io", "localhost", "[shop.example.com]", "2001:db8::1:2",
-    "1.2.3.4:80", "[1.2.3.4]:80", "1e.2.3.4",
+    "1.2.3.4:80", "[1.2.3.4]:80", "1e.2.3.4", "10.2.3", "0x7f.0.0.1",
+    "a.b.0X", "a.b.0xg", "a.b.x0",
 ])
 def test_registrable_domain_equals_the_unguarded_reference(host):
     assert registrable_domain(host) == _reference_registrable_domain(host)
@@ -45,11 +50,11 @@ def test_registrable_domain_keeps_ip_literals():
     assert registrable_domain("[1.2.3.4]") == "[1.2.3.4]"
     assert registrable_domain("10.0.0.1") == "10.0.0.1"
     assert registrable_domain("fe80::1%eth0") == "fe80::1%eth0"
-    assert registrable_domain("1.2.3") == "2.3"
+    assert registrable_domain("1.2.3") == "1.2.3"
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.text(alphabet="0123456789abcdef.:[]%", max_size=24)
+@given(st.text(alphabet="0123456789abcdefx.:[]%", max_size=24)
        | st.text(alphabet="0123456789.١٢ ", max_size=16))
 def test_registrable_domain_equals_the_reference_on_drawn_hosts(host):
     assert registrable_domain(host) == _reference_registrable_domain(host)

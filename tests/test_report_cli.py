@@ -359,30 +359,6 @@ def test_landscape_queries_subcommand(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_landscape_diff_subcommand(tmp_path, capsys):
-    def record(domain, *idps):
-        return json.dumps({"domain": domain, "scanned_at": "t", "idps": [
-            {"idp": i, "method": "keyword",
-             "login_page": f"https://{domain}/login"} for i in idps]}) + "\n"
-
-    prev, next_ = tmp_path / "prev.jsonl", tmp_path / "next.jsonl"
-    prev.write_text(record("a.example", "google"))
-    next_.write_text(record("a.example", "google", "apple"))
-    assert cli.main(["landscape", "diff", str(prev), str(next_)]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["added"] == [["a.example", "apple"]]
-    assert doc["removed"] == []
-
-    code = cli.main(["landscape", "diff", str(prev), str(next_),
-                     "--format", "markdown"])
-    assert code == 0
-    assert capsys.readouterr().out.startswith("| Change |")
-
-    assert cli.main(["landscape", "diff", str(prev),
-                     str(tmp_path / "missing.jsonl")]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-
-
 def test_report_render_subcommand(tmp_path, capsys, weak_pack):
     stored = tmp_path / "report.json"
     assert cli.main(["analyze", str(weak_pack), "--out", str(stored)]) == 2
@@ -393,6 +369,130 @@ def test_report_render_subcommand(tmp_path, capsys, weak_pack):
     assert cli.main(["report", "render", str(stored),
                      "--format", "xml"]) == 1
     assert "format" in capsys.readouterr().err
+
+
+def _sections(markdown: str) -> dict[str, list[str]]:
+    """Each ``# Title`` of a Markdown diff and its table's body rows."""
+    sections = {}
+    for block in markdown.split("\n\n# "):
+        title, _, table = block.lstrip("# ").partition("\n\n")
+        sections[title] = table.splitlines()[2:]
+    return sections
+
+
+def test_report_diff_subcommand(fixture_pack, tmp_path, capsys):
+    # pack B is pack A with csrf-missing.example hardened, one unit removed
+    # and one added
+    old_pack, _ = fixture_pack
+    new_pack = tmp_path / "new"
+    shutil.copytree(old_pack, new_pack)
+    shutil.rmtree(new_pack / "csrf-missing.example" / "google")
+    write_login_unit(new_pack / "csrf-missing.example" / "google",
+                     "csrf-missing.example", LoginShape(), seed=9)
+    shutil.rmtree(new_pack / "tls-plain-request.example")
+    write_login_unit(new_pack / "added.example" / "google", "added.example",
+                     LoginShape(), seed=10)
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    for pack, stored in ((old_pack, old), (new_pack, new)):
+        assert cli.main(["analyze", str(pack), "--out", str(stored)]) == 2
+
+    assert cli.main(["report", "diff", str(old), str(new)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    diff = json.loads(captured.out)
+    assert diff["units_added"] == ["added.example/Google"]
+    assert diff["units_removed"] == ["tls-plain-request.example/Google"]
+    assert diff["rules"] == [{"unit": "csrf-missing.example/Google",
+                              "gained": [], "lost": ["csrf.missing"]}]
+    (logins,) = diff["logins"]
+    assert logins["unit"] == "csrf-missing.example/Google"
+    assert [row["countermeasures"]["pkce"]
+            for row in (*logins["old"], *logins["new"])] == [False, True]
+    # csrf-missing.example asked for OAuth 2.0 and now asks for OIDC
+    cells = {"Websites": 0, "Logins": 0, "OAuth 2.0": -1, "OIDC": 1,
+             "code": 0, "hybrid": 0, "implicit": 0, "unknown": 0}
+    assert diff["landscape"] == {"Google": cells, "Total": cells}
+    assert diff["config"] == {}
+
+    out = tmp_path / "diff.md"
+    assert cli.main(["report", "diff", str(old), str(new),
+                     "--format", "markdown", "--out", str(out)]) == 0
+    sections = _sections(out.read_text())
+    assert list(sections) == ["Units added", "Units removed", "Rules",
+                              "Logins", "Landscape", "Config"]
+    assert sections["Units added"] == ["| added.example/Google |"]
+    assert sections["Units removed"] == ["| tls-plain-request.example/Google |"]
+    assert sections["Rules"] == ["| csrf-missing.example/Google |  | "
+                                 "csrf.missing |"]
+    assert [_table_cells(row)[0] for row in sections["Logins"]] == \
+        ["csrf-missing.example/Google"]
+    assert sections["Landscape"] == [
+        f"| {label} | 0 | 0 | -1 | 1 | 0 | 0 | 0 | 0 |"
+        for label in ("Google", "Total")]
+    assert sections["Config"] == []
+
+    assert cli.main(["report", "diff", str(old), str(old)]) == 0
+    assert not any(json.loads(capsys.readouterr().out).values())
+    assert cli.main(["report", "diff", str(old), str(new),
+                     "--format", "xml"]) == 1
+    assert "format" in capsys.readouterr().err
+    assert cli.main(["report", "diff", str(old),
+                     str(tmp_path / "missing.json")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_diff_reports_merges_fragments_that_share_a_key():
+    def fragment(rule_ids, flows):
+        return {"domain": "a.example", "idp": "Google",
+                "findings": [{"rule_id": rule} for rule in rule_ids],
+                "logins": [{"idp": "Google", "requested_flow": flow}
+                           for flow in flows]}
+
+    old = {"security": [fragment(["csrf.weak"], ["code"])]}
+    new = {"security": [fragment(["csrf.weak", "csrf.missing"], ["code"]),
+                        fragment(["flow.obsolete"], ["implicit"])]}
+    diff = report.diff_reports(old, new)
+    assert diff["units_added"] == diff["units_removed"] == []
+    assert diff["rules"] == [{"unit": "a.example/Google",
+                              "gained": ["csrf.missing", "flow.obsolete"],
+                              "lost": []}]
+    assert diff["logins"] == [{
+        "unit": "a.example/Google",
+        "old": [{"idp": "Google", "requested_flow": "code"}],
+        "new": [{"idp": "Google", "requested_flow": "code"},
+                {"idp": "Google", "requested_flow": "implicit"}]}]
+    assert diff["landscape"]["Google"]["Logins"] == 1
+    assert diff["landscape"]["Google"]["implicit"] == 1
+    assert diff["landscape"]["Google"]["Websites"] == 0
+    # the same rule ids split over the fragments in another way: no change
+    swapped = {"security": new["security"][::-1]}
+    assert report.diff_reports(new, swapped)["rules"] == []
+
+
+def test_render_diff_markdown_tables():
+    diff = {"units_added": ["a.example/Go|og\nle"], "units_removed": [],
+            "rules": [{"unit": "b.example/Google", "gained": ["csrf.weak"],
+                       "lost": ["csrf.missing", "flow.obsolete"]}],
+            "logins": [{"unit": "b.example/Google", "old": [],
+                        "new": [{"idp": "Google", "protocol": "oidc"}]}],
+            "landscape": {"Go|og\nle": dict.fromkeys(
+                ["Websites", "Logins", "OAuth 2.0", "OIDC", "code", "hybrid",
+                 "implicit", "unknown"], 1)},
+            "config": {"max_spar_depth": {"old": 8, "new": None}}}
+    sections = _sections(report.render_diff(diff, "markdown"))
+    assert sections == {
+        "Units added": ["| a.example/Go\\|og le |"],
+        "Units removed": [],
+        "Rules": ["| b.example/Google | csrf.weak | csrf.missing "
+                  "flow.obsolete |"],
+        "Logins": ['| b.example/Google | [] | [{"idp":"Google",'
+                   '"protocol":"oidc"}] |'],
+        "Landscape": ["| Go\\|og le | 1 | 1 | 1 | 1 | 1 | 1 | 1 | 1 |"],
+        "Config": ["| max_spar_depth | 8 | null |"],
+    }
+    assert report.render_diff(diff) == report.canonical_json(diff)
+    with pytest.raises(UnknownFormat):
+        report.render_diff(diff, "xml")
 
 
 def test_fixture_pack_reports_are_pinned(fixture_pack, tmp_path):
@@ -501,22 +601,21 @@ def test_spar_subcommand_writes_a_lone_surrogate_as_its_escape(capsys):
     assert doc["children"]["a"]["raw"] == "\ud800"
 
 
-_GOOD_RECORD = {"domain": "a.example", "idps": [{"idp": "google"}]}
-
-
 @pytest.mark.parametrize("command, payload", [
     ("render", b"not json {"),
     ("render", b"[1, 2]"),
-    ("diff", json.dumps({"domain": "a.example",
-                         "idps": [{"method": "manual"}]}).encode()),
-    ("diff", b'{"domain": "a.example\xff"}\n'),
-    ("diff", json.dumps({"domain": "a.example", "idps": "google"}).encode()),
+    ("diff", json.dumps({"security": [{"domain": "a.example"}]}).encode()),
+    ("diff", b'{"security": [{"domain": "a.example\xff"}]}\n'),
+    ("diff", json.dumps({"security": "a.example/Google"}).encode()),
     ("render", b'{"a": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"),
     ("diff", b"[" * 100_000 + b"]" * 100_000),
     ("render", b'{"generated_at": "\xff"}'),
+    ("diff", b"[1, 2]"),
+    ("diff", json.dumps({"security": [{"idp": "Google"}]}).encode()),
 ], ids=["render-not-json", "render-not-object", "diff-idp-missing",
-        "diff-not-utf8", "diff-idps-not-list", "render-too-deep",
-        "diff-too-deep", "render-not-utf8"])
+        "diff-not-utf8", "diff-security-not-list", "render-too-deep",
+        "diff-too-deep", "render-not-utf8", "diff-not-object",
+        "diff-domain-missing"])
 def test_malformed_input_gives_one_error_line(tmp_path, capsys, command,
                                               payload):
     bad = tmp_path / "bad"
@@ -524,9 +623,9 @@ def test_malformed_input_gives_one_error_line(tmp_path, capsys, command,
     if command == "render":
         argv = ["report", "render", str(bad)]
     else:
-        good = tmp_path / "good.jsonl"
-        good.write_text(json.dumps(_GOOD_RECORD) + "\n")
-        argv = ["landscape", "diff", str(good), str(bad)]
+        good = tmp_path / "good.json"
+        good.write_text(report.render_report(report.build_report()))
+        argv = ["report", "diff", str(good), str(bad)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")

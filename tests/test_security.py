@@ -348,6 +348,16 @@ def test_referer_to_first_party_or_idp_is_fine():
     assert security.check_secret_leakage(view, messages, "Google", CFG) == []
 
 
+def test_referer_leak_between_ipv4_shorthand_hosts():
+    # "10.2.3" and "11.2.3" are the addresses 10.2.0.3 and 11.2.0.3, two
+    # sites, not two names under "2.3"
+    entry = har_entry("http://11.2.3/pixel.gif", request_headers=[
+        ("Referer", "http://10.2.3/cb?code=abc!")])
+    view = classify.decode_trace(_trace([entry], domain="10.2.3"))
+    findings = security.check_secret_leakage(view, [], "Google", CFG)
+    assert _rule_ids(findings) == ["secret.referer-leak"]
+
+
 def test_token_in_url_query_only():
     entries = [
         har_entry("https://shop.example/cb?code=abc!",

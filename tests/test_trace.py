@@ -26,6 +26,9 @@ def _meta_bytes(**kwargs):
     return json.dumps(build_meta("shop.example", **kwargs)).encode("utf-8")
 
 
+_META = parse_metadata(_meta_bytes())
+
+
 # ---------------------------------------------------------------------------
 # timestamps
 
@@ -69,42 +72,42 @@ def test_parse_har_full_login_run():
 
 def test_parse_har_rejects_non_json():
     with pytest.raises(MalformedInput):
-        parse_har(b"this is not json")
+        parse_har(b"this is not json", _META)
 
 
 def test_parse_har_rejects_missing_entries():
     with pytest.raises(MalformedInput):
-        parse_har(json.dumps({"log": {"version": "1.2"}}))
+        parse_har(json.dumps({"log": {"version": "1.2"}}), _META)
 
 
 def test_entry_error_carries_index():
     entries = [har_entry("https://a.example/"), "bogus"]
     with pytest.raises(EntryError) as exc_info:
-        parse_har(_har_bytes(entries))
+        parse_har(_har_bytes(entries), _META)
     assert exc_info.value.index == 1
 
 
 def test_entry_error_on_relative_url():
     entries = [har_entry("/relative/path")]
     with pytest.raises(EntryError):
-        parse_har(_har_bytes(entries))
+        parse_har(_har_bytes(entries), _META)
 
 
 def test_entry_error_on_unsplittable_url():
     with pytest.raises(EntryError, match="not absolute"):
-        parse_har(_har_bytes([har_entry("https://[::1/cb")]))
+        parse_har(_har_bytes([har_entry("https://[::1/cb")]), _META)
 
 
 def test_entry_error_on_bad_status():
     entries = [har_entry("https://a.example/", status=999)]
     with pytest.raises(EntryError):
-        parse_har(_har_bytes(entries))
+        parse_har(_har_bytes(entries), _META)
 
 
 def test_header_lookup_is_case_insensitive():
     entries = [har_entry("https://a.example/",
                          request_headers=[("X-Custom", "yes")])]
-    trace = parse_har(_har_bytes(entries))
+    trace = parse_har(_har_bytes(entries), _META)
     assert trace.entries[0].request.header("x-custom") == "yes"
     assert trace.entries[0].request.header("missing") is None
 
@@ -112,28 +115,28 @@ def test_header_lookup_is_case_insensitive():
 def test_redirect_target_resolves_relative_location():
     entries = [har_entry("https://a.example/start", status=302,
                          location="/next")]
-    trace = parse_har(_har_bytes(entries))
+    trace = parse_har(_har_bytes(entries), _META)
     assert trace.entries[0].response.redirect_target == "https://a.example/next"
 
 
 def test_redirect_target_keeps_unsplittable_location():
     entries = [har_entry("https://a.example/start", status=302,
                          location="https://[::1/cb?code=x")]
-    trace = parse_har(_har_bytes(entries))
+    trace = parse_har(_har_bytes(entries), _META)
     assert trace.entries[0].response.redirect_target == "https://[::1/cb?code=x"
 
 
 def test_redirect_target_ignored_for_success_status():
     entry = har_entry("https://a.example/", status=200)
     entry["response"]["redirectURL"] = "https://b.example/"
-    trace = parse_har(_har_bytes([entry]))
+    trace = parse_har(_har_bytes([entry]), _META)
     assert trace.entries[0].response.redirect_target is None
 
 
 def test_response_body_truncation_flag():
     big = "x" * (trace_mod.MAX_BODY_CHARS + 10)
     entries = [har_entry("https://a.example/", body_text=big)]
-    trace = parse_har(_har_bytes(entries))
+    trace = parse_har(_har_bytes(entries), _META)
     response = trace.entries[0].response
     assert response.body_truncated
     assert len(response.body) == trace_mod.MAX_BODY_CHARS
