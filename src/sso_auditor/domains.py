@@ -58,7 +58,9 @@ def registrable_domain(host: str) -> str:
         except ValueError:
             pass
     labels = host.split(".")
-    if len(labels) <= 2 or _IPV4_NUMBER.fullmatch(labels[-1].strip("[]")):
+    # with three or more labels, a bracket can only close the host, so only
+    # the right end of the last label is stripped ("a.b.[1" is a name)
+    if len(labels) <= 2 or _IPV4_NUMBER.fullmatch(labels[-1].rstrip("[]")):
         return host
     tail2 = ".".join(labels[-2:])
     if tail2 in _MULTI_LABEL_SUFFIXES or tail2 in EXTRA_SUFFIXES:

@@ -40,7 +40,7 @@ def _reference_registrable_domain(host: str) -> str:
     " 1.2.3.4 ", "1..2.3", "a.b.example.co.uk", "login.example.com",
     "x.github.io", "localhost", "[shop.example.com]", "2001:db8::1:2",
     "1.2.3.4:80", "[1.2.3.4]:80", "1e.2.3.4", "10.2.3", "0x7f.0.0.1",
-    "a.b.0X", "a.b.0xg", "a.b.x0",
+    "a.b.0X", "a.b.0xg", "a.b.x0", "a.b.[1", "a.b.1[", "0.0.[0]",
 ])
 def test_registrable_domain_equals_the_unguarded_reference(host):
     assert registrable_domain(host) == _reference_registrable_domain(host)
