@@ -49,6 +49,7 @@ REF_ENTRY = "entry"
 REF_IBC = "ibc"
 
 UNKNOWN_IDP = "unknown"
+TOTAL_LABEL = "Total"  # the reports' total rows; no registry IdP may take it
 
 FLOW_CODE = "code"
 FLOW_IMPLICIT = "implicit"
@@ -71,10 +72,8 @@ class SsoParams:
     state: str | None = None
     nonce: str | None = None
     code_challenge: str | None = None
-    code_challenge_method: str | None = None
     code: str | None = None
     access_token: str | None = None
-    token_type: str | None = None
     id_token: str | None = None
     client_secret: str | None = None
     at_hash: str | None = None
@@ -89,9 +88,11 @@ _PARAM_NAMES = tuple(f.name for f in fields(SsoParams) if f.name != "at_hash")
 
 @dataclass(frozen=True)
 class ParamLocation:
+    """Where a parameter was found, and its node as the view decoded it."""
+
     channel: str
     path: tuple[str, ...]
-    value: str
+    node: spar.SparNode
 
     def render(self) -> str:
         return f"{self.channel}:{spar.render_path(self.path)}"
@@ -205,6 +206,9 @@ def load_registry(data: bytes | str) -> IdpRegistry:
                     or not all(isinstance(p, str) for p in value):
                 raise MalformedInput(f"registry {key} must be a list of strings")
             patterns[key] = tuple(value)
+        if item["name"] == TOTAL_LABEL:
+            raise MalformedInput(f"registry idp name {TOTAL_LABEL!r} is "
+                                 "reserved")
         idps.append(IdpEndpoints(name=str(item["name"]), **patterns))
     return IdpRegistry(idps=tuple(idps))
 
@@ -319,18 +323,17 @@ def _decoded_item(surfaces: list[Surface], max_depth: int,
             hit_surfaces.append((channel, found))
     if not hit_surfaces:
         return _EMPTY_ITEM
-    values: dict[str, str] = {}
     locations: dict[str, ParamLocation] = {}
     token_channel = None
     for channel, hits in hit_surfaces:
         for name in _PARAM_NAMES:
-            if name in hits and name not in values:
+            if name in hits and name not in locations:
                 path, node = hits[name][0]
-                values[name] = node.raw
                 locations[name] = ParamLocation(channel=channel, path=path,
-                                                value=node.raw)
+                                                node=node)
         if token_channel is None and any(name in hits for name in TOKEN_PARAMS):
             token_channel = channel
+    values = {name: loc.node.raw for name, loc in locations.items()}
     at_hash = None
     id_token = values.get("id_token")
     if id_token:
@@ -465,32 +468,24 @@ def classify_protocol(request: SsoMessage | None,
 _FLOW_TOKENS = frozenset({"code", "token", "id_token"})
 
 
-def classify_requested_flow(response_type: str | None) -> str:
-    if response_type is None:
+def _flow(kinds: set[str]) -> str:
+    """The flow that requests or returns the token kinds ``kinds``."""
+    if not kinds:
         return FLOW_UNKNOWN
-    tokens = set(response_type.split())
-    if not tokens or not tokens <= _FLOW_TOKENS:
-        return FLOW_UNKNOWN
-    if tokens == {"code"}:
+    if kinds == {"code"}:
         return FLOW_CODE
-    if "code" in tokens:
+    if "code" in kinds:
         return FLOW_HYBRID
     return FLOW_IMPLICIT
 
 
+def classify_requested_flow(response_type: str | None) -> str:
+    tokens = set((response_type or "").split())
+    return _flow(tokens) if tokens <= _FLOW_TOKENS else FLOW_UNKNOWN
+
+
 def classify_returned_flow(response: SsoMessage | None) -> str:
-    if response is None:
-        return FLOW_UNKNOWN
-    params = response.params
-    has_code = params.code is not None
-    has_token = params.access_token is not None or params.id_token is not None
-    if has_code and has_token:
-        return FLOW_HYBRID
-    if has_code:
-        return FLOW_CODE
-    if has_token:
-        return FLOW_IMPLICIT
-    return FLOW_UNKNOWN
+    return _flow(returned_token_kinds(response))
 
 
 def returned_token_kinds(response: SsoMessage | None) -> set[str]:

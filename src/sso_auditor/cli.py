@@ -10,8 +10,8 @@ that cannot be read or analyzed is left out of the report and named, with
 its error message, in the report's ``errors`` list; the other units are
 reported as if it were absent.  Exit codes: 0 completed without
 vulnerability findings, 2 completed with at least one vulnerability
-finding, 1 operational error: bad configuration or registry, no trace
-directory, or units of which none could be analyzed.
+finding, 1 operational error: a usage error, bad configuration or
+registry, no trace directory, or units of which none could be analyzed.
 """
 
 from __future__ import annotations
@@ -49,19 +49,26 @@ def entry() -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_ERROR
     try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return EXIT_ERROR
         return args.func(args)
     except (AuditError, OSError) as exc:
         _print_err(str(exc))
         return EXIT_ERROR
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error exits 1, as MalformedInput; 2 means "vulnerable"."""
+
+    def error(self, message: str):
+        raise MalformedInput(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sso-auditor",
         description="Offline analyzer for single sign-on login traffic.")
     parser.set_defaults(command=None)
@@ -329,3 +336,7 @@ def _emit(text: str, out_path: str | None) -> None:
     except UnicodeEncodeError:
         sys.stdout.write(text.encode("utf-8", "backslashreplace")
                          .decode("utf-8"))
+
+
+if __name__ == "__main__":
+    entry()

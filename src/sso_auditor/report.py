@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .classify import (
     FLOW_CODE, FLOW_HYBRID, FLOW_IMPLICIT, FLOW_UNKNOWN, PROTOCOL_OAUTH2,
-    PROTOCOL_OIDC,
+    PROTOCOL_OIDC, TOTAL_LABEL,
 )
 from .exceptions import UnknownFormat
 from .security import RULES, RuleConfig, SecurityAnalysis
@@ -111,7 +111,7 @@ def _render_markdown(report: dict) -> str:
     lines += markdown_table(
         ["IdP", *labels],
         [[idp, *per_idp[idp].values()] for idp in sorted(per_idp)]
-        + [["Total", *totals]])
+        + [[TOTAL_LABEL, *totals]])
 
     privacy = report.get("privacy")
     if privacy:
@@ -119,7 +119,7 @@ def _render_markdown(report: dict) -> str:
                                                 "consent-given-visit")
                 for kind in ("LAL", "TEL")]
         rows = [(row.get("idp", "?"), row) for row in privacy.get("rows", [])]
-        rows.append(("Total", privacy.get("totals", {})))
+        rows.append((TOTAL_LABEL, privacy.get("totals", {})))
         lines += ["", "# Privacy leaks", ""]
         lines += markdown_table(
             ["IdP", "LAL (no consent)", "TEL (no consent)", "LAL (consent)",
@@ -153,7 +153,7 @@ def _landscape_table(fragments: list[dict]) -> list[str]:
 def _landscape_rows(fragments: list[dict]) -> list[tuple[object, dict]]:
     """The landscape table's rows, counted from the fragments' ``logins``
     rows: ``(IdP, {column header: count})`` for each IdP in sorted order,
-    then the ``Total`` row.  Empty when there are no login rows."""
+    then the ``TOTAL_LABEL`` row.  Empty when there are no login rows."""
     logins = [(login.get("idp", "unknown"), fragment.get("domain"), login)
               for fragment in fragments for login in fragment.get("logins", [])]
     if not logins:
@@ -167,7 +167,7 @@ def _landscape_rows(fragments: list[dict]) -> list[tuple[object, dict]]:
 
     idps = sorted({idp for idp, _, _ in logins})
     return [(idp, cells([entry for entry in logins if entry[0] == idp]))
-            for idp in idps] + [("Total", cells(logins))]
+            for idp in idps] + [(TOTAL_LABEL, cells(logins))]
 
 
 def diff_reports(old: dict, new: dict) -> dict:

@@ -6,11 +6,15 @@ the configured SPAR budgets) and puts each login together once
 partner of a first-run login can be).  Every per-login rule has one signature,
 ``check_x(login, cfg) -> list[Finding]``, and runs from the ``LOGIN_RULES``
 table of (group name, rule), each group guarded so that a crashing rule
-becomes one ``analyzer.error`` finding.  The trace-level rules read the
-decoded view and the logins' requests.  Nothing is ever replayed or probed.
-Findings carry a stable rule_id, a category (vulnerability or
-potential-issue), and non-empty evidence pointing back into the trace; their
-domain is the analyzed unit's.
+becomes one ``analyzer.error`` finding.  The view is the rules' only SPAR
+input, so ``run_all``'s ``decode_trace`` call alone applies the budgets: a
+rule reads a parameter's node (``SsoMessage.locations``) as the view cut it,
+with ``max_spar_depth - d`` levels left at surface depth d and the
+surface's node budget shared.  Rules decode only what is no request
+surface, a Referer header and a 307 ``Location``, under the view's budgets.
+Nothing is ever replayed or probed.  Findings carry a stable rule_id, a
+category (vulnerability or potential-issue), and non-empty evidence pointing
+back into the trace; their domain is the analyzed unit's.
 
 Scoping decisions that matter for interpretation:
 
@@ -155,23 +159,20 @@ def charset_class(value: str) -> str:
     return "printable"
 
 
-def estimate_entropy(value: str | None, paired_value: str | None = None,
-                     max_spar_depth: int = spar.DEFAULT_MAX_DEPTH,
-                     max_spar_nodes: int = spar.DEFAULT_MAX_NODES,
-                     ) -> EntropyEstimate:
-    """Upper-bound the randomness of one protocol parameter.
+def estimate_entropy(node: spar.SparNode | None,
+                     paired_value: str | None = None) -> EntropyEstimate:
+    """Upper-bound the randomness of a protocol parameter's decoded ``node``.
 
     A value that repeats across paired recordings carries no randomness at
     all.  Otherwise the bound is the best leaf of the decoded value:
     length times log2 of the inferred charset class size.
     """
-    if value is None:
+    if node is None:
         return EntropyEstimate(bits=0.0, basis=BASIS_ABSENT)
-    if paired_value is not None and value == paired_value:
+    if paired_value is not None and node.raw == paired_value:
         return EntropyEstimate(bits=0.0, basis=BASIS_STATIC)
-    tree = spar.decode(value, max_spar_depth, max_spar_nodes)
     best = 0.0
-    for _, raw in spar.leaves(tree):
+    for _, raw in spar.leaves(node):
         bits = len(raw) * math.log2(CHARSET_SIZES[charset_class(raw)])
         if bits > best:
             best = bits
@@ -182,18 +183,14 @@ def estimate_entropy(value: str | None, paired_value: str | None = None,
 # evidence helpers
 
 def _param_evidence(msg: SsoMessage, name: str) -> Evidence:
-    loc = msg.locations.get(name)
-    if loc is not None:
-        return Evidence(entry_index=msg.entry_ref, spar_path=loc.render(),
-                        excerpt=loc.value)
-    return Evidence(entry_index=msg.entry_ref, spar_path=msg.channel,
-                    excerpt=msg.params.get(name) or "")
+    loc = msg.locations[name]
+    return Evidence(entry_index=msg.entry_ref, spar_path=loc.render(),
+                    excerpt=loc.node.raw)
 
 
 def _request_evidence(msg: SsoMessage) -> Evidence:
-    loc = msg.locations.get("client_id")
-    path = loc.render() if loc else msg.channel
-    return Evidence(entry_index=msg.entry_ref, spar_path=path,
+    return Evidence(entry_index=msg.entry_ref,
+                    spar_path=msg.locations["client_id"].render(),
                     excerpt=msg.params.redirect_uri or msg.params.client_id or "")
 
 
@@ -219,9 +216,8 @@ def check_csrf(login: Login, cfg: RuleConfig) -> list[Finding]:
     best_name, best = None, None
     for name in present:
         estimate = estimate_entropy(
-            req.params.get(name),
-            paired.params.get(name) if paired else None,
-            cfg.max_spar_depth, cfg.max_spar_nodes)
+            req.locations[name].node,
+            paired.params.get(name) if paired else None)
         if best is None or estimate.bits > best.bits:
             best_name, best = name, estimate
     assert best is not None and best_name is not None
@@ -301,18 +297,15 @@ def check_mixups(login: Login, cfg: RuleConfig) -> list[Finding]:
 
 def check_open_redirect(login: Login, cfg: RuleConfig) -> list[Finding]:
     request = login.request
-    redirect_uri = request.params.redirect_uri
-    if not redirect_uri:
+    base = request.locations.get("redirect_uri")
+    if base is None:
         return []
-    tree = spar.decode(redirect_uri, cfg.max_spar_depth, cfg.max_spar_nodes)
-    nested = spar.find_nested_urls(tree)
+    nested = spar.find_nested_urls(base.node)
     if not nested:
         return []
-    base = request.locations.get("redirect_uri")
-    base_path = base.render() if base else "redirect_uri"
     evidence = tuple(
         Evidence(entry_index=request.entry_ref,
-                 spar_path=f"{base_path}/{spar.render_path(path)}",
+                 spar_path=f"{base.render()}/{spar.render_path(path)}",
                  excerpt=url)
         for path, url in nested
     )
@@ -397,7 +390,7 @@ LOGIN_RULES = (
 # trace-level rules: ``idp`` labels findings not anchored to one login
 
 def check_secret_leakage(view: DecodedTrace, requests: list[SsoMessage],
-                         idp: str, cfg: RuleConfig) -> list[Finding]:
+                         idp: str) -> list[Finding]:
     trace = view.trace
     findings = []
 
@@ -429,7 +422,7 @@ def check_secret_leakage(view: DecodedTrace, requests: list[SsoMessage],
         dest_site = registrable_domain(url_host(entry.request.url))
         if dest_site == client_site or dest_site in idp_sites:
             continue
-        path = _token_path(spar.decode, referer, cfg)
+        path = _token_path(spar.decode, referer, view)
         if path is not None:
             referer_evidence.append(Evidence(
                 entry_index=index, spar_path=f"referer:{spar.render_path(path)}",
@@ -461,11 +454,11 @@ def check_secret_leakage(view: DecodedTrace, requests: list[SsoMessage],
     return findings
 
 
-def _token_path(decoder, value: str, cfg: RuleConfig) -> spar.Path | None:
-    """Path of the first token parameter in ``value`` as ``decoder``
-    (``spar.decode`` or ``spar.decode_query_string``) reads it."""
+def _token_path(decoder, value: str, view: DecodedTrace) -> spar.Path | None:
+    """Path of the first token parameter in ``value``, decoded by ``decoder``
+    (``spar.decode`` or ``spar.decode_query_string``) under ``view``'s budgets."""
     hits: spar.SegmentIndex = {name: [] for name in classify.TOKEN_PARAMS}
-    decoder(value, cfg.max_spar_depth, cfg.max_spar_nodes, hits=hits)
+    decoder(value, view.max_depth, view.max_nodes, hits=hits)
     return _first_token_path(hits)
 
 
@@ -477,8 +470,9 @@ def _first_token_path(hits: spar.SegmentIndex) -> spar.Path | None:
     return None
 
 
-def check_transport(trace: Trace, requests: list[SsoMessage], idp: str,
-                    cfg: RuleConfig) -> list[Finding]:
+def check_transport(view: DecodedTrace, requests: list[SsoMessage],
+                    idp: str) -> list[Finding]:
+    trace = view.trace
     findings = []
 
     for msg in requests:
@@ -508,7 +502,7 @@ def check_transport(trace: Trace, requests: list[SsoMessage], idp: str,
             continue
         target = entry.response.redirect_target
         parts = split_url(target)
-        if any(_token_path(spar.decode_query_string, component, cfg)
+        if any(_token_path(spar.decode_query_string, component, view)
                is not None
                for component in (parts.query, parts.fragment) if component):
             findings.append(Finding(
@@ -622,8 +616,8 @@ def run_all(run1: Trace, run2: Trace | None = None,
             response_channel=response.channel if response else None,
         ))
 
-    findings.extend(check_secret_leakage(view1, requests, analysis.idp, cfg))
-    findings.extend(check_transport(run1, requests, analysis.idp, cfg))
+    findings.extend(check_secret_leakage(view1, requests, analysis.idp))
+    findings.extend(check_transport(view1, requests, analysis.idp))
     findings.sort(key=lambda f: (f.rule_id, f.evidence[0].entry_index,
                                  f.evidence[0].spar_path))
     analysis.findings = findings

@@ -80,10 +80,6 @@ class HttpEntry:
     response: HttpResponse
     started_at: datetime
 
-    @property
-    def url(self) -> str:
-        return self.request.url
-
 
 @dataclass(frozen=True)
 class IbcEvent:

@@ -216,20 +216,25 @@ def test_entropy_oracle():
     for _ in range(500):
         name = rng.choice(names)
         value, expected_bits = _class_sample(rng, name)
-        estimate = security.estimate_entropy(value)
+        estimate = security.estimate_entropy(spar.decode(value))
         assert estimate.bits == expected_bits, \
             f"{name} sample {value!r}: {estimate.bits} != {expected_bits}"
-        paired = security.estimate_entropy(value, value)
+        paired = security.estimate_entropy(spar.decode(value), value)
         assert paired.bits == 0.0
         assert paired.basis == security.BASIS_STATIC
 
     state = "83749274"
-    bits = security.estimate_entropy(state).bits
+    bits = security.estimate_entropy(spar.decode(state)).bits
     assert abs(bits - 26.58) < 0.01
+    params = {"client_id": "c", "redirect_uri": "https://a.example/cb",
+              "state": state}
     login = classify.Login(request=classify.SsoMessage(
         entry_ref=0, ref_kind=classify.REF_ENTRY,
-        channel=classify.CHANNEL_QUERY, idp="Google", params=classify.SsoParams(
-            client_id="c", redirect_uri="https://a.example/cb", state=state)))
+        channel=classify.CHANNEL_QUERY, idp="Google",
+        params=classify.SsoParams(**params),
+        locations={name: classify.ParamLocation(
+            classify.CHANNEL_QUERY, (name,), spar.decode(value))
+            for name, value in params.items()}))
     findings = security.check_csrf(login, security.RuleConfig())
     assert [f.rule_id for f in findings] == ["csrf.weak"]
     return f"500 samples exact, 8-digit state {bits:.2f} bits flagged"

@@ -4,8 +4,12 @@ import hashlib
 import itertools
 import json
 import random
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -641,6 +645,40 @@ def test_bare_group_commands_fail(capsys):
     assert "usage" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "PACK", "--format", "xml"],
+    ["analyze", "PACK", "--bogus"],
+    ["analyze"],
+    ["spar", "x", "--max-depth", "abc"],
+], ids=["bad-choice", "unknown-option", "missing-trace-dir", "bad-int"])
+def test_usage_errors_exit_1_with_one_error_line(capsys, weak_pack, argv):
+    # argparse's own exit code, 2, is the "vulnerability found" code
+    argv = [str(weak_pack) if arg == "PACK" else arg for arg in argv]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    for argv in (["--help"], ["analyze", "--help"]):
+        with pytest.raises(SystemExit) as exc_info:
+            cli.main(argv)
+        assert exc_info.value.code == 0
+        assert "usage" in capsys.readouterr().out
+
+
+def test_module_runs_as_a_script(fixture_pack, capsys):
+    root, _ = fixture_pack
+    assert cli.main(["analyze", str(root)]) == 2
+    expected = capsys.readouterr().out.encode("utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-m", "sso_auditor.cli", "analyze",
+                          str(root)], capture_output=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert run.stdout == expected
+
+
 # ---------------------------------------------------------------------------
 # configuration checks and hostile input
 
@@ -695,8 +733,10 @@ def test_config_rejects_values_of_the_wrong_type(
     ("registry", json.dumps({"idps": [
         {"name": "G", "authorization_patterns": "accounts.google.com"}]})
      .encode(), "authorization_patterns"),
+    ("registry", json.dumps({"idps": [{"name": "Total"}]}).encode(),
+     "'Total' is reserved"),
 ], ids=["config-not-utf8", "registry-not-utf8", "patterns-number",
-        "pattern-not-string", "patterns-bare-string"])
+        "pattern-not-string", "patterns-bare-string", "idp-named-total"])
 def test_bad_config_or_registry_file_gives_one_error_line(
         tmp_path, monkeypatch, capsys, clean_pack, target, payload, needle):
     # before, the registry cases ended in UnicodeDecodeError, TypeError and

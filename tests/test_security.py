@@ -34,7 +34,10 @@ CFG = security.RuleConfig()
 def _msg(channel=classify.CHANNEL_QUERY, entry_ref=1, **params):
     return classify.SsoMessage(
         entry_ref=entry_ref, ref_kind=classify.REF_ENTRY,
-        channel=channel, idp="Google", params=classify.SsoParams(**params))
+        channel=channel, idp="Google", params=classify.SsoParams(**params),
+        locations={name: classify.ParamLocation(channel, (name,),
+                                                spar.decode(value))
+                   for name, value in params.items()})
 
 
 def _request(**params):
@@ -68,11 +71,11 @@ def test_charset_class_ladder():
 
 
 def test_estimate_entropy_exact_values():
-    estimate = security.estimate_entropy("83749274")
+    estimate = security.estimate_entropy(spar.decode("83749274"))
     assert estimate.basis == security.BASIS_CHARSET
     assert estimate.bits == 8 * math.log2(10)
 
-    hex_estimate = security.estimate_entropy("deadbeefdeadbeef")
+    hex_estimate = security.estimate_entropy(spar.decode("deadbeefdeadbeef"))
     assert hex_estimate.bits == 16 * math.log2(16)
 
 
@@ -80,16 +83,17 @@ def test_estimate_entropy_absent_and_static():
     absent = security.estimate_entropy(None)
     assert (absent.bits, absent.basis) == (0.0, security.BASIS_ABSENT)
 
-    static = security.estimate_entropy("samevalue!", "samevalue!")
+    static = security.estimate_entropy(spar.decode("samevalue!"),
+                                       "samevalue!")
     assert (static.bits, static.basis) == (0.0, security.BASIS_STATIC)
 
-    differing = security.estimate_entropy("abc", "xyz")
+    differing = security.estimate_entropy(spar.decode("abc"), "xyz")
     assert differing.basis == security.BASIS_CHARSET
 
 
 def test_estimate_entropy_uses_best_leaf_of_structure():
     value = spar.encode_form([("sid", "12"), ("tok", "xyzqrs")])
-    estimate = security.estimate_entropy(value)
+    estimate = security.estimate_entropy(spar.decode(value))
     assert estimate.bits == 6 * math.log2(62)
 
 
@@ -236,6 +240,29 @@ def test_open_redirect_ignores_plain_redirect_uri():
     assert security.check_open_redirect(_login(no_uri), CFG) == []
 
 
+def test_open_redirect_reads_redirect_uri_as_the_view_cut_it():
+    # redirect_uri is a child of its query, so it has max_spar_depth - 1
+    # levels left; the nested URL sits two levels below it (query-string,
+    # next), which a depth of 2 leaves out, though a fresh decode of the
+    # value under the same depth would reach it
+    redirect_uri = "https://shop.example/cb?next=https%3A%2F%2Fevil.example%2F"
+    trace = _trace([har_entry(
+        "https://accounts.google.com/o/oauth2/v2/auth?" + spar.encode_form([
+            ("client_id", "c"), ("redirect_uri", redirect_uri)]))])
+    assert spar.find_nested_urls(spar.decode(redirect_uri, 2)) == \
+        [(("query-string", "next"), "https://evil.example/")]
+    for depth, expected in ((3, ["redirect.nested-url"]), (2, [])):
+        view = classify.decode_trace(trace, max_depth=depth)
+        (login,) = classify.find_logins(view)
+        ((_, hits),) = view.entries[0].surfaces
+        assert login.request.locations["redirect_uri"].node \
+            is hits["redirect_uri"][0][1]
+        cfg = security.RuleConfig(max_spar_depth=depth)
+        assert _rule_ids(security.check_open_redirect(login, cfg)) == expected
+        assert sorted(security.run_all(trace, cfg=cfg).rule_ids()
+                      & {"redirect.nested-url"}) == expected
+
+
 # ---------------------------------------------------------------------------
 # injection protection
 
@@ -311,7 +338,7 @@ def test_client_secret_in_query_is_flagged():
         ("client_id", "c"), ("client_secret", "s3cr3t!")])
     trace = _trace([har_entry(url)])
     findings = security.check_secret_leakage(classify.decode_trace(trace), [],
-                                             "Google", CFG)
+                                             "Google")
     assert _rule_ids(findings) == ["secret.client-secret-fc"]
     assert findings[0].evidence[0].excerpt == "s3cr3t!"
 
@@ -321,13 +348,13 @@ def test_client_secret_in_post_body_is_back_channel():
                       post_mime="application/x-www-form-urlencoded",
                       post_text="grant_type=authorization_code&client_secret=s")
     assert security.check_secret_leakage(
-        classify.decode_trace(_trace([entry])), [], "Google", CFG) == []
+        classify.decode_trace(_trace([entry])), [], "Google") == []
 
 
 def test_referer_leak_to_third_party():
     view = classify.decode_trace(_login_trace(LoginShape(referer_leak=True)))
     messages = classify.detect_login_requests(view)
-    findings = security.check_secret_leakage(view, messages, "Google", CFG)
+    findings = security.check_secret_leakage(view, messages, "Google")
     assert _rule_ids(findings) == ["secret.referer-leak"]
     assert findings[0].category == "vulnerability"
 
@@ -345,7 +372,7 @@ def test_referer_to_first_party_or_idp_is_fine():
         started_at="2026-01-17T12:00:05Z"))
     view = classify.decode_trace(_trace(entries))
     messages = classify.detect_login_requests(view)
-    assert security.check_secret_leakage(view, messages, "Google", CFG) == []
+    assert security.check_secret_leakage(view, messages, "Google") == []
 
 
 def test_referer_leak_between_ipv4_shorthand_hosts():
@@ -354,7 +381,7 @@ def test_referer_leak_between_ipv4_shorthand_hosts():
     entry = har_entry("http://11.2.3/pixel.gif", request_headers=[
         ("Referer", "http://10.2.3/cb?code=abc!")])
     view = classify.decode_trace(_trace([entry], domain="10.2.3"))
-    findings = security.check_secret_leakage(view, [], "Google", CFG)
+    findings = security.check_secret_leakage(view, [], "Google")
     assert _rule_ids(findings) == ["secret.referer-leak"]
 
 
@@ -368,7 +395,7 @@ def test_token_in_url_query_only():
                   started_at="2026-01-17T12:00:02Z"),
     ]
     findings = security.check_secret_leakage(
-        classify.decode_trace(_trace(entries)), [], "Google", CFG)
+        classify.decode_trace(_trace(entries)), [], "Google")
     assert _rule_ids(findings) == ["secret.token-in-url"]
     # one finding, one evidence item per offending entry, fragments exempt
     assert len(findings[0].evidence) == 2
@@ -379,19 +406,19 @@ def test_token_in_url_query_only():
 # transport
 
 def test_plain_redirect_uri_is_vulnerability():
-    trace = _trace([har_entry("https://shop.example/login")])
+    view = classify.decode_trace(_trace([har_entry("https://shop.example/login")]))
     msg = _request(redirect_uri="http://shop.example/cb")
-    findings = security.check_transport(trace, [msg], "Google", CFG)
+    findings = security.check_transport(view, [msg], "Google")
     assert _rule_ids(findings) == ["tls.plain-redirect-uri"]
     assert findings[0].category == "vulnerability"
 
 
 def test_loopback_redirect_uri_is_exempt():
-    trace = _trace([har_entry("https://shop.example/login")])
+    view = classify.decode_trace(_trace([har_entry("https://shop.example/login")]))
     for uri in ("http://127.0.0.1:8123/cb", "http://localhost/cb",
                 "http://[::1]/cb"):
         request = _request(redirect_uri=uri)
-        assert security.check_transport(trace, [request], "Google", CFG) == []
+        assert security.check_transport(view, [request], "Google") == []
 
 
 def test_plain_request_entries_are_flagged():
@@ -400,7 +427,8 @@ def test_plain_request_entries_are_flagged():
         har_entry("http://shop.example/metrics",
                   started_at="2026-01-17T12:00:01Z"),
     ]
-    findings = security.check_transport(_trace(entries), [], "Google", CFG)
+    findings = security.check_transport(classify.decode_trace(_trace(entries)),
+                                        [], "Google")
     assert _rule_ids(findings) == ["tls.plain-request"]
     assert findings[0].evidence[0].entry_index == 1
 
@@ -409,23 +437,55 @@ def test_307_relay_of_token_bearing_redirect():
     relay = har_entry("https://accounts.google.com/o/oauth2/v2/auth",
                       status=307,
                       location="https://shop.example/cb#code=abc!&state=s")
-    findings = security.check_transport(_trace([relay]), [], "Google", CFG)
+    findings = security.check_transport(classify.decode_trace(_trace([relay])),
+                                        [], "Google")
     assert _rule_ids(findings) == ["redirect.307-authz-response"]
 
     benign = har_entry("https://accounts.google.com/o/oauth2/v2/auth",
                        status=307, location="https://shop.example/start")
-    assert security.check_transport(_trace([benign]), [], "Google",
-                                    CFG) == []
+    assert security.check_transport(classify.decode_trace(_trace([benign])),
+                                    [], "Google") == []
 
     ordinary = har_entry("https://accounts.google.com/o/oauth2/v2/auth",
                          status=302,
                          location="https://shop.example/cb#code=abc!")
-    assert security.check_transport(_trace([ordinary]), [], "Google",
-                                    CFG) == []
+    assert security.check_transport(classify.decode_trace(_trace([ordinary])),
+                                    [], "Google") == []
 
 
 # ---------------------------------------------------------------------------
 # orchestration
+
+def _decodable_values(trace):
+    """The values ``run_all`` may decode at the top level: request surfaces,
+    Referer headers and the query and fragment of a 307 ``Location``."""
+    values = {event.payload for event in trace.ibc_events}
+    for entry in trace.entries:
+        parts = urlsplit(entry.request.url)
+        values |= {parts.query, parts.fragment, entry.request.body,
+                   entry.request.header("referer")}
+        target = entry.response.redirect_target
+        if entry.response.status == 307 and target:
+            parts = urlsplit(target)
+            values |= {parts.query, parts.fragment}
+    return values
+
+
+@pytest.mark.parametrize("rule_id", ["csrf.weak", "redirect.nested-url"])
+def test_run_all_decodes_no_login_parameter_again(fixture_pack, bundle_loader,
+                                                  decoded, rule_id):
+    # the CSRF entropy bound and the nested-URL check read the view's nodes
+    root, _ = fixture_pack
+    unit = root / fixture_domain(rule_id) / IDP_NAME
+    run1, run2 = bundle_loader(unit / "run1"), bundle_loader(unit / "run2")
+    (login,) = classify.find_logins(classify.decode_trace(run1), None, run2)
+    state, redirect_uri = (login.request.params.state,
+                           login.request.params.redirect_uri)
+    assert state and redirect_uri
+    decoded.clear()
+    assert rule_id in security.run_all(run1, run2).rule_ids()
+    assert (decoded[state], decoded[redirect_uri]) == (0, 0)
+    assert set(decoded) <= _decodable_values(run1) | _decodable_values(run2)
 
 def test_run_all_rejects_visit_traces():
     trace = _login_trace()
