@@ -32,8 +32,7 @@ of the same IdP, so no other item can hold a partner.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import spar
 from .domains import origin_of, split_url, url_host
@@ -63,8 +62,7 @@ PROTOCOL_OIDC = "oidc"
 TOKEN_KINDS = {"code": "code", "token": "access_token", "id_token": "id_token"}
 TOKEN_PARAMS = tuple(TOKEN_KINDS.values())
 
-@dataclass(frozen=True)
-class SsoParams:
+class SsoParams(NamedTuple):
     client_id: str | None = None
     redirect_uri: str | None = None
     response_type: str | None = None
@@ -83,11 +81,10 @@ class SsoParams:
 
 
 # parameters read from the decoded surfaces; at_hash comes from the id_token
-_PARAM_NAMES = tuple(f.name for f in fields(SsoParams) if f.name != "at_hash")
+_PARAM_NAMES = tuple(name for name in SsoParams._fields if name != "at_hash")
 
 
-@dataclass(frozen=True)
-class ParamLocation:
+class ParamLocation(NamedTuple):
     """Where a parameter was found, and its node as the view decoded it."""
 
     channel: str
@@ -98,28 +95,25 @@ class ParamLocation:
         return f"{self.channel}:{spar.render_path(self.path)}"
 
 
-@dataclass
-class SsoMessage:
+class SsoMessage(NamedTuple):
     entry_ref: int
     ref_kind: str  # "entry" or "ibc"
     channel: str
     idp: str
     params: SsoParams
-    locations: dict[str, ParamLocation] = field(default_factory=dict)
+    locations: dict[str, ParamLocation]
 
 
 # ---------------------------------------------------------------------------
 # identity provider registry
 
-@dataclass(frozen=True)
-class IdpEndpoints:
+class IdpEndpoints(NamedTuple):
     name: str
     authorization_patterns: tuple[str, ...] = ()
     token_patterns: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class IdpRegistry:
+class IdpRegistry(NamedTuple):
     idps: tuple[IdpEndpoints, ...]
 
     def match_authorization(self, url: str) -> str | None:
@@ -226,8 +220,7 @@ def _mime(body_mime: str | None) -> str:
     return (body_mime or "").split(";")[0].strip().lower()
 
 
-@dataclass(frozen=True)
-class DecodedItem:
+class DecodedItem(NamedTuple):
     """One HTTP entry (query, fragment, body surfaces) or IBC event (payload).
 
     ``surfaces`` holds, per surface with any, the hits of the parameter
@@ -249,8 +242,7 @@ _EMPTY_ITEM = DecodedItem(surfaces=(), params=SsoParams(), locations={},
                           token_channel=None)
 
 
-@dataclass(frozen=True)
-class DecodedTrace:
+class DecodedTrace(NamedTuple):
     """Items aligned with ``trace.entries`` and ``trace.ibc_events``, and the
     SPAR budgets they were decoded under."""
 
@@ -524,8 +516,7 @@ def pair_runs(run1_messages: list[SsoMessage], run2_messages: list[SsoMessage],
 # ---------------------------------------------------------------------------
 # logins
 
-@dataclass(frozen=True)
-class Login:
+class Login(NamedTuple):
     """One login procedure: its request, the matched response, the same
     request in the second recording, and whether the login's own IdP token
     endpoint answered in the front channel with more than was asked for."""

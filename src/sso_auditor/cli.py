@@ -12,6 +12,10 @@ reported as if it were absent.  Exit codes: 0 completed without
 vulnerability findings, 2 completed with at least one vulnerability
 finding, 1 operational error: a usage error, bad configuration or
 registry, no trace directory, or units of which none could be analyzed.
+
+Every launch pays for the imports at the top of this module, so the
+modules of ``privacy`` and ``landscape queries`` are imported inside those
+commands only.
 """
 
 from __future__ import annotations
@@ -20,11 +24,8 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
-from . import landscape as landscape_mod
-from . import privacy as privacy_mod
 from . import report as report_mod
 from . import security, spar
 from .classify import (
@@ -253,6 +254,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_privacy(args) -> int:
+    from . import privacy as privacy_mod
+
     cfg, registry, source = _load_config(args)
 
     def analyze_unit(idp_dir: Path):
@@ -271,7 +274,7 @@ def _cmd_privacy(args) -> int:
     per_unit, captured, errors = _each_unit(Path(args.trace_dir), analyze_unit)
     findings = [finding for unit in per_unit for finding in unit]
     table = privacy_mod.aggregate_privacy(findings)
-    table["findings"] = [asdict(f) for f in findings]
+    table["findings"] = [f.to_dict() for f in findings]
     report = report_mod.build_report(privacy=table, errors=errors, cfg=cfg,
                                      registry_source=source,
                                      generated_at=max(captured, default=None))
@@ -287,6 +290,8 @@ def _cmd_spar(args) -> int:
 
 
 def _cmd_landscape_queries(args) -> int:
+    from . import landscape as landscape_mod
+
     for query in landscape_mod.build_search_queries(args.domain):
         print(query)
     return EXIT_OK

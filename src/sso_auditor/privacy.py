@@ -18,7 +18,7 @@ profile so aggregation can split consent-given from no-consent visits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import classify
 from .classify import (
@@ -33,21 +33,22 @@ LEAK_TEL = "TEL"
 ANNOTATION_NO_REQUEST = "response-without-request"
 
 
-@dataclass(frozen=True)
-class PrivacyEvidence:
+class PrivacyEvidence(NamedTuple):
     ref_kind: str  # "entry" or "ibc"
     index: int
     detail: str
 
 
-@dataclass(frozen=True)
-class PrivacyFinding:
+class PrivacyFinding(NamedTuple):
     kind: str
     idp: str
     domain: str
     profile_kind: str
     evidence: PrivacyEvidence
     annotation: str | None = None
+
+    def to_dict(self) -> dict:
+        return {**self._asdict(), "evidence": self.evidence._asdict()}
 
 
 def _finding(trace: Trace, kind: str, idp: str, evidence: PrivacyEvidence,

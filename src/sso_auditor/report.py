@@ -18,7 +18,6 @@ differ.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
@@ -67,7 +66,7 @@ def build_report(security: list[SecurityAnalysis] | None = None,
         "schema_version": SCHEMA_VERSION,
         "tool": {"name": "sso-auditor", "version": __version__},
         "generated_at": format_timestamp(generated_at),
-        "config": {**asdict(cfg), "idp_registry": registry_source},
+        "config": {**cfg._asdict(), "idp_registry": registry_source},
         "security": [fragment.to_dict() for fragment in fragments],
         "privacy": privacy,
         "errors": errors or [],

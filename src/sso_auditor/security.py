@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from . import classify, spar
 from .classify import DecodedTrace, IdpRegistry, Login, SsoMessage
@@ -83,46 +83,58 @@ def load_rule_catalog() -> list[dict]:
 RULES: dict[str, dict] = {item["rule_id"]: item for item in load_rule_catalog()}
 
 
-@dataclass(frozen=True)
-class Evidence:
+class _EvidenceFields(NamedTuple):
     entry_index: int
     spar_path: str
     excerpt: str
 
-    def __post_init__(self):
-        if len(self.excerpt) > MAX_EXCERPT:
-            object.__setattr__(self, "excerpt", self.excerpt[:MAX_EXCERPT])
+
+class Evidence(_EvidenceFields):
+    """The excerpt is cut to its first ``MAX_EXCERPT`` characters."""
+
+    __slots__ = ()
+
+    def __new__(cls, entry_index: int, spar_path: str, excerpt: str):
+        return super().__new__(cls, entry_index, spar_path,
+                               excerpt[:MAX_EXCERPT])
 
 
-@dataclass(frozen=True)
-class Finding:
+class _FindingFields(NamedTuple):
     rule_id: str
     idp: str
     evidence: tuple[Evidence, ...]
     message: str
 
-    def __post_init__(self):
-        if not self.evidence:
+
+class Finding(_FindingFields):
+    """A rule's verdict; ``evidence`` is never empty."""
+
+    __slots__ = ()
+
+    def __new__(cls, rule_id: str, idp: str, evidence: tuple[Evidence, ...],
+                message: str):
+        if not evidence:
             raise ValueError("findings need at least one evidence item")
+        return super().__new__(cls, rule_id, idp, evidence, message)
 
     @property
     def category(self) -> str:
         return RULES[self.rule_id]["category"]
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "category": self.category}
+        return {**self._asdict(),
+                "evidence": tuple(item._asdict() for item in self.evidence),
+                "category": self.category}
 
 
-@dataclass(frozen=True)
-class RuleConfig:
+class RuleConfig(NamedTuple):
     entropy_threshold_bits: float = 96.0
     treat_pkce_as_csrf_protection: bool = True
     max_spar_depth: int = spar.DEFAULT_MAX_DEPTH
     max_spar_nodes: int = spar.DEFAULT_MAX_NODES
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(NamedTuple):
     bits: float
     basis: str
 
@@ -518,19 +530,20 @@ def check_transport(view: DecodedTrace, requests: list[SsoMessage],
 def _primary_idp(trace: Trace, requests: list[SsoMessage]) -> str:
     # the detected provider name keeps trace-level findings in the same
     # report row as the login-anchored ones; the operator's metadata label
-    # is only a fallback for traces where detection came up empty
+    # is only a fallback for traces where detection came up empty, and never
+    # the reports' total-row label
     if requests:
         return requests[0].idp
-    if trace.metadata.idp_label:
-        return trace.metadata.idp_label
+    label = trace.metadata.idp_label
+    if label and label != classify.TOTAL_LABEL:
+        return label
     return classify.UNKNOWN_IDP
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 
-@dataclass
-class LoginAnalysis:
+class LoginAnalysis(NamedTuple):
     idp: str
     protocol: str
     requested_flow: str
@@ -541,12 +554,13 @@ class LoginAnalysis:
     response_channel: str | None
 
 
-@dataclass
-class SecurityAnalysis:
+class SecurityAnalysis(NamedTuple):
+    """One unit's result, built by ``run_all`` once both lists are done."""
+
     domain: str
     idp: str
-    logins: list[LoginAnalysis] = field(default_factory=list)
-    findings: list[Finding] = field(default_factory=list)
+    logins: list[LoginAnalysis]
+    findings: list[Finding]
 
     @property
     def vulnerability_count(self) -> int:
@@ -560,7 +574,7 @@ class SecurityAnalysis:
         return {
             "domain": self.domain,
             "idp": self.idp,
-            "logins": [asdict(login) for login in self.logins],
+            "logins": [login._asdict() for login in self.logins],
             "findings": [{**f.to_dict(), "domain": self.domain}
                          for f in self.findings],
             "vulnerabilities": self.vulnerability_count,
@@ -581,8 +595,8 @@ def run_all(run1: Trace, run2: Trace | None = None,
     view1 = classify.decode_trace(run1, cfg.max_spar_depth, cfg.max_spar_nodes)
     logins = classify.find_logins(view1, registry, run2)
     requests = [login.request for login in logins]
-    analysis = SecurityAnalysis(domain=run1.metadata.domain,
-                                idp=_primary_idp(run1, requests))
+    idp = _primary_idp(run1, requests)
+    rows: list[LoginAnalysis] = []
     findings: list[Finding] = []
 
     for login in logins:
@@ -599,7 +613,7 @@ def run_all(run1: Trace, run2: Trace | None = None,
                     message=f"rule group {name!r} failed: {exc}",
                 ))
 
-        analysis.logins.append(LoginAnalysis(
+        rows.append(LoginAnalysis(
             idp=request.idp,
             protocol=classify.classify_protocol(request, response),
             requested_flow=classify.classify_requested_flow(
@@ -616,9 +630,9 @@ def run_all(run1: Trace, run2: Trace | None = None,
             response_channel=response.channel if response else None,
         ))
 
-    findings.extend(check_secret_leakage(view1, requests, analysis.idp))
-    findings.extend(check_transport(view1, requests, analysis.idp))
+    findings.extend(check_secret_leakage(view1, requests, idp))
+    findings.extend(check_transport(view1, requests, idp))
     findings.sort(key=lambda f: (f.rule_id, f.evidence[0].entry_index,
                                  f.evidence[0].spar_path))
-    analysis.findings = findings
-    return analysis
+    return SecurityAnalysis(domain=run1.metadata.domain, idp=idp, logins=rows,
+                            findings=findings)

@@ -53,7 +53,6 @@ import binascii
 import codecs
 import json
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Iterator
 from urllib.parse import SplitResult, unquote
 
@@ -83,14 +82,32 @@ _FORM_KEY = re.compile(r"[A-Za-z0-9_.%+~\[\]-]+")
 _ABS_URL = re.compile(r"https?://", re.IGNORECASE)
 
 
-@dataclass(slots=True)
 class SparNode:
-    """One decoded layer.  ``children`` maps path segments to subtrees."""
+    """One decoded layer.  ``children`` maps path segments to subtrees.
 
-    raw: str
-    decoding: str = LEAF
-    children: dict[str, SparNode] = field(default_factory=dict)
-    depth: int = 0
+    Two nodes are equal when their raw values, decodings, depths and
+    children are."""
+
+    __slots__ = ("raw", "decoding", "children", "depth")
+    __hash__ = None  # mutable, compared by value
+
+    def __init__(self, raw: str, decoding: str = LEAF,
+                 children: dict[str, SparNode] | None = None, depth: int = 0):
+        self.raw = raw
+        self.decoding = decoding
+        self.children = {} if children is None else children
+        self.depth = depth
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SparNode:
+            return NotImplemented
+        return (self.raw == other.raw and self.decoding == other.decoding
+                and self.depth == other.depth
+                and self.children == other.children)
+
+    def __repr__(self) -> str:
+        return (f"SparNode(raw={self.raw!r}, decoding={self.decoding!r}, "
+                f"children={self.children!r}, depth={self.depth!r})")
 
     @property
     def is_leaf(self) -> bool:

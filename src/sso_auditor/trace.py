@@ -10,8 +10,8 @@ timestamps are assumed UTC.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from typing import NamedTuple
 from urllib.parse import urljoin
 
 from .domains import split_url
@@ -34,8 +34,10 @@ REDIRECT_STATUSES = frozenset({301, 302, 303, 307, 308})
 MAX_BODY_CHARS = 5 * 1024 * 1024
 
 
-@dataclass(frozen=True)
-class TraceMetadata:
+class TraceMetadata(NamedTuple):
+    """Checked by ``parse_metadata``: a known profile kind and a run index
+    of at least 1, and 1 or 2 for a login run."""
+
     domain: str
     page_url: str
     captured_at: datetime
@@ -43,17 +45,8 @@ class TraceMetadata:
     run_index: int
     idp_label: str | None = None
 
-    def __post_init__(self):
-        if self.profile_kind not in PROFILE_KINDS:
-            raise MalformedInput(f"unknown profile_kind: {self.profile_kind!r}")
-        if self.run_index < 1:
-            raise MalformedInput("run_index must be >= 1")
-        if self.profile_kind == PROFILE_LOGIN_RUN and self.run_index not in (1, 2):
-            raise MalformedInput("login-run traces use run_index 1 or 2")
 
-
-@dataclass(frozen=True)
-class HttpRequest:
+class HttpRequest(NamedTuple):
     method: str
     url: str
     headers: tuple[tuple[str, str], ...] = ()
@@ -64,8 +57,7 @@ class HttpRequest:
         return _header_value(self.headers, name.lower())
 
 
-@dataclass(frozen=True)
-class HttpResponse:
+class HttpResponse(NamedTuple):
     status: int
     headers: tuple[tuple[str, str], ...] = ()
     redirect_target: str | None = None
@@ -74,28 +66,23 @@ class HttpResponse:
     body_truncated: bool = False
 
 
-@dataclass(frozen=True)
-class HttpEntry:
+class HttpEntry(NamedTuple):
     request: HttpRequest
     response: HttpResponse
     started_at: datetime
 
 
-@dataclass(frozen=True)
-class IbcEvent:
+class IbcEvent(NamedTuple):
+    """``kind`` is one of ``IBC_KINDS``, checked by ``_parse_ibc_list``."""
+
     kind: str
     source_origin: str
     target_origin: str
     payload: str
     at: datetime
 
-    def __post_init__(self):
-        if self.kind not in IBC_KINDS:
-            raise MalformedInput(f"unknown ibc event kind: {self.kind!r}")
 
-
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     metadata: TraceMetadata
     entries: tuple[HttpEntry, ...] = ()
     ibc_events: tuple[IbcEvent, ...] = ()
@@ -291,11 +278,19 @@ def parse_metadata(data: bytes | str) -> TraceMetadata:
     if not isinstance(run_index, int):
         raise MalformedInput(f"run_index is not an integer: {run_index!r}")
     idp = doc.get("idp")
+    captured_at = parse_timestamp(doc["captured_at"])
+    profile_kind = str(doc["profile_kind"])
+    if profile_kind not in PROFILE_KINDS:
+        raise MalformedInput(f"unknown profile_kind: {profile_kind!r}")
+    if run_index < 1:
+        raise MalformedInput("run_index must be >= 1")
+    if profile_kind == PROFILE_LOGIN_RUN and run_index not in (1, 2):
+        raise MalformedInput("login-run traces use run_index 1 or 2")
     return TraceMetadata(
         domain=str(doc["domain"]),
         page_url=str(doc["page_url"]),
-        captured_at=parse_timestamp(doc["captured_at"]),
-        profile_kind=str(doc["profile_kind"]),
+        captured_at=captured_at,
+        profile_kind=profile_kind,
         run_index=run_index,
         idp_label=str(idp) if idp is not None else None,
     )
@@ -324,13 +319,12 @@ def _parse_ibc_list(raw: object) -> list[IbcEvent]:
         source = str(item["source_origin"])
         if not _is_origin(source):
             raise MalformedInput(f"bad source_origin: {source!r}")
-        events.append(IbcEvent(
-            kind=str(item["kind"]),
-            source_origin=source,
-            target_origin=target,
-            payload=str(item["payload"]),
-            at=parse_timestamp(item["at"]),
-        ))
+        kind, payload = str(item["kind"]), str(item["payload"])
+        at = parse_timestamp(item["at"])
+        if kind not in IBC_KINDS:
+            raise MalformedInput(f"unknown ibc event kind: {kind!r}")
+        events.append(IbcEvent(kind=kind, source_origin=source,
+                               target_origin=target, payload=payload, at=at))
     events.sort(key=lambda ev: ev.at)
     return events
 
@@ -346,5 +340,5 @@ def parse_trace_bundle(har: bytes | str, metadata: bytes | str,
     meta = parse_metadata(metadata)
     trace = parse_har(har, metadata=meta)
     if ibc is not None:
-        trace = replace(trace, ibc_events=parse_ibc(ibc))
+        trace = trace._replace(ibc_events=parse_ibc(ibc))
     return trace

@@ -321,7 +321,7 @@ def _reference_logins(view, run2):
     pairs = classify.pair_runs(requests(view), requests(view2))
     logins = classify.find_logins(view)
     assert [login.request for login in logins] == [msg for msg, _ in pairs]
-    return [dataclasses.replace(login, request2=mate)
+    return [login._replace(request2=mate)
             for login, (_, mate) in zip(logins, pairs)]
 
 
@@ -368,7 +368,8 @@ def test_protocol_oidc_signals():
             entry_ref=0, ref_kind=classify.REF_ENTRY,
             channel=classify.CHANNEL_QUERY, idp="Google",
             params=classify.SsoParams(scope=scope,
-                                      response_type=response_type))
+                                      response_type=response_type),
+            locations={})
 
     assert classify.classify_protocol(req(scope="openid email")) == "oidc"
     assert classify.classify_protocol(req(response_type="code id_token")) == "oidc"
@@ -401,7 +402,7 @@ def test_returned_flow_from_params():
         return classify.SsoMessage(
             entry_ref=0, ref_kind=classify.REF_ENTRY,
             channel=classify.CHANNEL_QUERY,
-            idp="Google", params=classify.SsoParams(**params))
+            idp="Google", params=classify.SsoParams(**params), locations={})
 
     assert classify.classify_returned_flow(None) == "unknown"
     assert classify.classify_returned_flow(resp(code="c")) == "code"

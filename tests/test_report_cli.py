@@ -293,6 +293,23 @@ def test_markdown_tables_keep_outside_labels_in_one_cell(tmp_path, capsys):
                for line in lines)
 
 
+def test_a_metadata_label_total_gives_no_second_total_row(tmp_path, capsys):
+    # no login is detected in either unit, so their plain-http findings are
+    # labelled from meta.json; "Total" is the reports' own total-row label
+    root = tmp_path / "traces"
+    for domain, idp in (("a.example", "Total"), ("b.example", "Google")):
+        for run in (1, 2):
+            write_bundle(root / domain / idp.lower() / f"run{run}",
+                         build_har([har_entry(f"http://{domain}/login")]),
+                         build_meta(domain, idp=idp, run_index=run))
+    assert cli.main(["analyze", str(root), "--format", "markdown"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" | ")[0] for line in lines
+            if line.startswith("| Total |")] == ["| Total"]
+    assert any(line.startswith("| unknown | ") for line in lines)
+    assert any(line.startswith("| Google | ") for line in lines)
+
+
 def test_config_env_and_flag_precedence(tmp_path, monkeypatch, capsys):
     root = tmp_path / "traces"
     # strong random state but no PKCE: fine at 96 bits, weak at 200
@@ -677,6 +694,29 @@ def test_module_runs_as_a_script(fixture_pack, capsys):
                           str(root)], capture_output=True, env=env, timeout=120)
     assert run.returncode == 2
     assert run.stdout == expected
+
+
+# the benchmark's set-up launch: import the CLI, build the default rule
+# config and registry; then print which of the named modules are loaded
+_STARTUP_CODE = (
+    "import sys, sso_auditor.cli; "
+    "from sso_auditor.security import RuleConfig; "
+    "from sso_auditor.classify import default_registry; "
+    "RuleConfig(); default_registry(); "
+    "print(' '.join(name for name in sys.argv[1:] if name in sys.modules))")
+
+
+def test_startup_loads_no_code_generation_and_no_other_command():
+    # dataclasses (with inspect) generates methods at import; privacy and
+    # landscape are imported by their own commands, synth only by tests
+    unwanted = ["dataclasses", "inspect", "sso_auditor.privacy",
+                "sso_auditor.landscape", "sso_auditor.synth"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _STARTUP_CODE, *unwanted],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []
 
 
 # ---------------------------------------------------------------------------

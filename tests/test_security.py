@@ -657,3 +657,12 @@ def test_catalog_categories_match_emitted_findings():
     assert finding("flow.obsolete").category == "potential-issue"
     for rule_id, rule in security.RULES.items():
         assert finding(rule_id).category == rule["category"]
+
+
+def test_evidence_excerpt_is_cut_and_findings_need_evidence():
+    evidence = security.Evidence(0, "url", "x" * 250)
+    assert evidence.excerpt == "x" * security.MAX_EXCERPT == "x" * 200
+    assert security.Evidence(0, "url", "short").excerpt == "short"
+    with pytest.raises(ValueError):
+        security.Finding(rule_id="csrf.missing", idp="Google", evidence=(),
+                         message="m")

@@ -252,3 +252,14 @@ def test_deep_jwt_parts_are_malformed_not_raising():
         spar.jwt_parts(".".join(token))
     header = spar.encode_base64url(deep).rstrip("=")
     assert spar.decode(f"{header}.{token[1]}.c2ln").decoding != spar.JWT
+
+
+def test_trees_compare_by_value():
+    value = "a=1&next=https%3A%2F%2Fb.example%2F%3Fc%3D2"
+    tree = spar.decode(value)
+    assert tree == spar.decode(value)
+    assert tree is not spar.decode(value)
+    other = spar.decode(value)
+    child = next(iter(other.children.values()))
+    child.decoding = spar.BASE64
+    assert tree != other

@@ -166,6 +166,9 @@ def test_metadata_rejects_unknown_profile():
     doc["profile_kind"] = "weekend-visit"
     with pytest.raises(MalformedInput):
         parse_metadata(json.dumps(doc))
+    doc["profile_kind"] = "Login-Run"
+    with pytest.raises(MalformedInput):
+        parse_metadata(json.dumps(doc))
 
 
 def test_metadata_rejects_bad_run_index():
@@ -175,6 +178,9 @@ def test_metadata_rejects_bad_run_index():
         parse_metadata(json.dumps(doc))
     doc["run_index"] = 3
     with pytest.raises(MalformedInput):
+        parse_metadata(json.dumps(doc))
+    doc["run_index"] = 0
+    with pytest.raises(MalformedInput, match=">= 1"):
         parse_metadata(json.dumps(doc))
 
 
@@ -207,6 +213,8 @@ def test_parse_ibc_accepts_wildcard_target():
 def test_parse_ibc_rejects_bad_kind_and_origin():
     with pytest.raises(MalformedInput):
         parse_ibc(json.dumps([_ibc_event(kind="carrier-pigeon")]))
+    with pytest.raises(MalformedInput, match="kind"):
+        parse_ibc(json.dumps([_ibc_event(kind="Post-Message")]))
     with pytest.raises(MalformedInput):
         parse_ibc(json.dumps([_ibc_event(source_origin="not an origin")]))
     with pytest.raises(MalformedInput):
