@@ -25,8 +25,9 @@ its response, its partner in a second recording, and whether the login's
 own IdP token endpoint answered visibly.  The second recording is parsed in
 full but decoded only for the entries and events whose registry IdP is one
 of the first run's login IdPs (all of it when a first-run request was found
-only through ``response_type``): ``pair_runs`` pairs a message only with one
-of the same IdP, so no other item can hold a partner.
+only through ``response_type``): a login's partner is the run-2 request with
+the same login key (its IdP and its redirect_uri's host and path), so no
+other item can hold one.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Callable, NamedTuple
 
 from . import spar
 from .domains import origin_of, split_url, url_host
-from .exceptions import MalformedInput, MalformedJwt
+from .exceptions import MalformedInput
 from .trace import HttpEntry, Trace, load_json
 
 CHANNEL_QUERY = "http-query"
@@ -74,14 +75,9 @@ class SsoParams(NamedTuple):
     access_token: str | None = None
     id_token: str | None = None
     client_secret: str | None = None
-    at_hash: str | None = None
 
     def get(self, name: str) -> str | None:
         return getattr(self, name)
-
-
-# parameters read from the decoded surfaces; at_hash comes from the id_token
-_PARAM_NAMES = tuple(name for name in SsoParams._fields if name != "at_hash")
 
 
 class ParamLocation(NamedTuple):
@@ -224,8 +220,8 @@ class DecodedItem(NamedTuple):
     """One HTTP entry (query, fragment, body surfaces) or IBC event (payload).
 
     ``surfaces`` holds, per surface with any, the hits of the parameter
-    names (``_PARAM_NAMES``): each name -> every ``(path, node)`` ending in
-    it, in preorder; no other segment is kept.  ``params`` and
+    names (``SsoParams._fields``): each name -> every ``(path, node)``
+    ending in it, in preorder; no other segment is kept.  ``params`` and
     ``locations`` give the first hit per name across the surfaces, in that
     order, and ``token_channel`` the first surface carrying a token
     parameter, if any.
@@ -308,7 +304,7 @@ def _decoded_item(surfaces: list[Surface], max_depth: int,
                   max_nodes: int) -> DecodedItem:
     hit_surfaces = []
     for channel, decoder, value in surfaces:
-        hits: spar.SegmentIndex = {name: [] for name in _PARAM_NAMES}
+        hits: spar.SegmentIndex = {name: [] for name in SsoParams._fields}
         decoder(value, max_depth, max_nodes, hits=hits)
         found = {name: nodes for name, nodes in hits.items() if nodes}
         if found:
@@ -318,7 +314,7 @@ def _decoded_item(surfaces: list[Surface], max_depth: int,
     locations: dict[str, ParamLocation] = {}
     token_channel = None
     for channel, hits in hit_surfaces:
-        for name in _PARAM_NAMES:
+        for name in SsoParams._fields:
             if name in hits and name not in locations:
                 path, node = hits[name][0]
                 locations[name] = ParamLocation(channel=channel, path=path,
@@ -326,18 +322,8 @@ def _decoded_item(surfaces: list[Surface], max_depth: int,
         if token_channel is None and any(name in hits for name in TOKEN_PARAMS):
             token_channel = channel
     values = {name: loc.node.raw for name, loc in locations.items()}
-    at_hash = None
-    id_token = values.get("id_token")
-    if id_token:
-        try:
-            _, payload, _ = spar.jwt_parts(id_token)
-        except MalformedJwt:
-            payload = {}
-        raw = payload.get("at_hash")
-        if isinstance(raw, str):
-            at_hash = raw
     return DecodedItem(surfaces=tuple(hit_surfaces),
-                       params=SsoParams(**values, at_hash=at_hash),
+                       params=SsoParams(**values),
                        locations=locations, token_channel=token_channel)
 
 
@@ -370,21 +356,17 @@ def detect_login_requests(view: DecodedTrace,
 
 
 def dedupe_login_requests(messages: list[SsoMessage]) -> list[SsoMessage]:
-    """One login request per (idp, redirect_uri host+path); first wins."""
-    seen: set[tuple[str, str]] = set()
-    out = []
+    """One login request per login key; first wins."""
+    kept: dict[tuple[str, str], SsoMessage] = {}
     for msg in messages:
-        key = (msg.idp, _redirect_prefix_key(msg.params.redirect_uri or ""))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(msg)
-    return out
+        kept.setdefault(_login_key(msg), msg)
+    return list(kept.values())
 
 
-def _redirect_prefix_key(redirect_uri: str) -> str:
-    parts = split_url(redirect_uri)
-    return f"{(parts.hostname or '').lower()}{parts.path}"
+def _login_key(msg: SsoMessage) -> tuple[str, str]:
+    """(idp, redirect_uri host+path): one login, in either recording."""
+    parts = split_url(msg.params.redirect_uri or "")
+    return msg.idp, f"{(parts.hostname or '').lower()}{parts.path}"
 
 
 def _url_base(url: str) -> str | None:
@@ -444,13 +426,11 @@ def match_login_response(view: DecodedTrace, request: SsoMessage,
 # ---------------------------------------------------------------------------
 # protocol and flow classification
 
-def classify_protocol(request: SsoMessage | None,
+def classify_protocol(request: SsoMessage,
                       response: SsoMessage | None = None) -> str:
-    scope = (request.params.scope or "") if request else ""
-    if "openid" in scope.split():
+    if "openid" in (request.params.scope or "").split():
         return PROTOCOL_OIDC
-    response_type = (request.params.response_type or "") if request else ""
-    if "id_token" in response_type.split():
+    if "id_token" in (request.params.response_type or "").split():
         return PROTOCOL_OIDC
     if response is not None and response.params.id_token:
         return PROTOCOL_OIDC
@@ -487,30 +467,8 @@ def returned_token_kinds(response: SsoMessage | None) -> set[str]:
             if response.params.get(param) is not None}
 
 
-def requested_token_kinds(request: SsoMessage | None) -> set[str]:
-    if request is None or request.params.response_type is None:
-        return set()
-    tokens = set(request.params.response_type.split())
-    return tokens & _FLOW_TOKENS
-
-
-def pair_runs(run1_messages: list[SsoMessage], run2_messages: list[SsoMessage],
-              ) -> list[tuple[SsoMessage, SsoMessage | None]]:
-    """Align messages of two recordings of the same login procedure."""
-    def key(msg: SsoMessage) -> tuple[str, str]:
-        return (msg.idp, _redirect_prefix_key(msg.params.redirect_uri or ""))
-
-    used: set[int] = set()
-    pairs: list[tuple[SsoMessage, SsoMessage | None]] = []
-    for msg in run1_messages:
-        mate = None
-        for index, other in enumerate(run2_messages):
-            if index not in used and key(other) == key(msg):
-                used.add(index)
-                mate = other
-                break
-        pairs.append((msg, mate))
-    return pairs
+def requested_token_kinds(request: SsoMessage) -> set[str]:
+    return set((request.params.response_type or "").split()) & _FLOW_TOKENS
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +488,8 @@ class Login(NamedTuple):
 def find_logins(view: DecodedTrace, registry: IdpRegistry | None = None,
                 run2: Trace | None = None) -> list[Login]:
     """The deduplicated logins of ``view``, in detection order, each paired
-    with its partner in ``run2`` (the second recording), if given.
+    with its partner in ``run2`` (the second recording), if given: the
+    deduplicated run-2 request with the same login key.
 
     ``run2`` is decoded here, under ``view``'s budgets, and only where a
     partner can be.  A run-2 message pairs only with a request of its own
@@ -539,20 +498,21 @@ def find_logins(view: DecodedTrace, registry: IdpRegistry | None = None,
     """
     registry = registry or default_registry()
     requests = dedupe_login_requests(detect_login_requests(view, registry))
-    requests2 = []
+    partners = {}
     if run2 is not None:
         idps = frozenset(request.idp for request in requests)
         view2 = decode_trace(run2, view.max_depth, view.max_nodes,
                              None if UNKNOWN_IDP in idps else idps, registry)
-        requests2 = dedupe_login_requests(detect_login_requests(view2, registry))
+        partners = {_login_key(msg): msg for msg in dedupe_login_requests(
+            detect_login_requests(view2, registry))}
     exchanges = _token_exchanges(view.trace, registry) if requests else []
     return [Login(request=request,
                   response=match_login_response(view, request),
-                  request2=request2,
+                  request2=partners.get(_login_key(request)),
                   token_exchange_visible=any(
                       idp == request.idp and _gives_more(doc, request)
                       for idp, doc in exchanges))
-            for request, request2 in pair_runs(requests, requests2)]
+            for request in requests]
 
 
 def _token_exchanges(trace: Trace, registry: IdpRegistry,

@@ -3,8 +3,7 @@
 The registrable domain ("site") of a host is the public suffix plus one
 label.  A full public-suffix list is overkill for an offline analyzer, so a
 curated set of common multi-label suffixes is built in; everything else
-falls back to the last two labels.  Extend ``EXTRA_SUFFIXES`` at runtime if
-a deployment needs more.
+falls back to the last two labels.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ _MULTI_LABEL_SUFFIXES = frozenset({
     # common hosting platforms that act as suffixes
     "github.io", "gitlab.io", "appspot.com", "blogspot.com", "herokuapp.com",
 })
-
-EXTRA_SUFFIXES: set[str] = set()
 
 # a last label that makes a host an IPv4 address (WHATWG URL "ends in a
 # number"): ASCII digits, or a 0x hex number, so "10.2.3" and "0x7f.0.0.1"
@@ -63,7 +60,7 @@ def registrable_domain(host: str) -> str:
     if len(labels) <= 2 or _IPV4_NUMBER.fullmatch(labels[-1].rstrip("[]")):
         return host
     tail2 = ".".join(labels[-2:])
-    if tail2 in _MULTI_LABEL_SUFFIXES or tail2 in EXTRA_SUFFIXES:
+    if tail2 in _MULTI_LABEL_SUFFIXES:
         return ".".join(labels[-3:])
     return tail2
 

@@ -343,12 +343,8 @@ def check_injection_protection(login: Login, cfg: RuleConfig) -> list[Finding]:
             message="authorization code is not bound to the client via PKCE "
                     "or nonce; code injection is not detectable",
         ))
-    if response.params.id_token is not None \
-            and response.params.access_token is not None:
-        try:
-            _, payload, _ = spar.jwt_parts(response.params.id_token)
-        except MalformedJwt:
-            payload = None
+    if response.params.access_token is not None:
+        payload = _id_token_payload(response)
         if payload is not None and "at_hash" not in payload:
             findings.append(Finding(
                 rule_id=RULE_AT_HASH_MISSING, idp=request.idp,
@@ -357,6 +353,17 @@ def check_injection_protection(login: Login, cfg: RuleConfig) -> list[Finding]:
                         "the id_token carries no at_hash binding",
             ))
     return findings
+
+
+def _id_token_payload(response: SsoMessage) -> dict | None:
+    """The payload of the response's id_token; None without one or when it
+    does not decode as a JWT."""
+    if response.params.id_token is None:
+        return None
+    try:
+        return spar.jwt_parts(response.params.id_token)[1]
+    except MalformedJwt:
+        return None
 
 
 def check_id_token_alg(login: Login, cfg: RuleConfig) -> list[Finding]:
@@ -622,8 +629,8 @@ def run_all(run1: Trace, run2: Trace | None = None,
             countermeasures={
                 "pkce": request.params.code_challenge is not None,
                 "nonce": request.params.nonce is not None,
-                "at_hash": (response is not None
-                            and response.params.at_hash is not None),
+                "at_hash": response is not None and isinstance(
+                    (_id_token_payload(response) or {}).get("at_hash"), str),
             },
             request_ref=request.entry_ref,
             response_ref=response.entry_ref if response else None,

@@ -127,13 +127,12 @@ SegmentIndex = dict[str, list[tuple[Path, SparNode]]]
 
 
 class _Budget:
-    """The node budget of one decode, and the hits it records; ``path``,
-    kept only when ``hits`` is given, is the path of the node being
-    decoded."""
+    """The node budget of one decode, the hits it records, and the path of
+    the node being decoded."""
 
     __slots__ = ("used", "limit", "hits", "path")
 
-    def __init__(self, limit: int, hits: SegmentIndex | None = None):
+    def __init__(self, limit: int, hits: SegmentIndex):
         self.used = 0
         self.limit = limit
         self.hits = hits
@@ -153,11 +152,7 @@ def decode(value: str, max_depth: int = DEFAULT_MAX_DEPTH,
 
     ``hits`` receives the nodes under its own keys (see the module doc).
     """
-    if max_depth < 1 or max_nodes < 1:
-        raise ValueError("max_depth and max_nodes must be >= 1")
-    budget = _Budget(max_nodes, hits)
-    budget.take()  # root
-    return _decode_node(value, 0, max_depth, budget)
+    return _decode_root(_decode_node, value, max_depth, max_nodes, hits)
 
 
 def decode_query_string(value: str, max_depth: int = DEFAULT_MAX_DEPTH,
@@ -169,11 +164,18 @@ def decode_query_string(value: str, max_depth: int = DEFAULT_MAX_DEPTH,
     even a single blank parameter ("flag=") becomes a child.  ``hits`` is
     filled as by ``decode``.
     """
+    return _decode_root(_query_node, value, max_depth, max_nodes, hits)
+
+
+def _decode_root(build: Callable[..., SparNode], value: str, max_depth: int,
+                 max_nodes: int, hits: SegmentIndex | None) -> SparNode:
+    """The tree ``build`` makes of ``value``, its root taken from a fresh
+    budget that records into ``hits`` (nothing when it is None)."""
     if max_depth < 1 or max_nodes < 1:
         raise ValueError("max_depth and max_nodes must be >= 1")
-    budget = _Budget(max_nodes, hits)
-    budget.take()
-    return _query_node(value, 0, max_depth, budget)
+    budget = _Budget(max_nodes, {} if hits is None else hits)
+    budget.take()  # root
+    return build(value, 0, max_depth, budget)
 
 
 def _query_node(value: str, depth: int, max_depth: int,
@@ -218,7 +220,7 @@ def _decode_node(value: str, depth: int, max_depth: int, budget: _Budget) -> Spa
 
 def _add_child(node: SparNode, segment: str, value: str, max_depth: int,
                budget: _Budget,
-               build: Callable[..., SparNode] | None = None) -> bool:
+               build: Callable[..., SparNode] = _decode_node) -> bool:
     """Attach ``build(value, ...)`` (``_decode_node`` by default) under
     ``segment``; False when the depth limit or the node budget stops it.
 
@@ -227,15 +229,9 @@ def _add_child(node: SparNode, segment: str, value: str, max_depth: int,
     """
     if node.depth >= max_depth or not budget.take():
         return False
-    build = build or _decode_node
-    hits = budget.hits
-    if hits is None:
-        node.children[segment] = build(value, node.depth + 1, max_depth,
-                                       budget)
-        return True
     parent_path = budget.path
     path = budget.path = parent_path + (segment,)
-    found = hits.get(segment)
+    found = budget.hits.get(segment)
     if found is not None:
         slot = len(found)
         found.append(None)  # reserved until the child is built
@@ -415,7 +411,7 @@ def _try_percent(node: SparNode, value: str, max_depth: int, budget: _Budget) ->
         # a leaf has no descendants, so its own hit is the last one
         del node.children["decoded"]
         budget.used = snapshot
-        if budget.hits is not None and "decoded" in budget.hits:
+        if "decoded" in budget.hits:
             budget.hits["decoded"].pop()
         return False
     node.decoding = PERCENT

@@ -47,7 +47,6 @@ class TraceMetadata(NamedTuple):
 
 
 class HttpRequest(NamedTuple):
-    method: str
     url: str
     headers: tuple[tuple[str, str], ...] = ()
     body: str | None = None
@@ -59,7 +58,6 @@ class HttpRequest(NamedTuple):
 
 class HttpResponse(NamedTuple):
     status: int
-    headers: tuple[tuple[str, str], ...] = ()
     redirect_target: str | None = None
     body: str | None = None
     body_mime: str | None = None
@@ -92,7 +90,8 @@ class Trace(NamedTuple):
 # timestamps
 
 def parse_timestamp(text: str) -> datetime:
-    """ISO 8601, tolerant of a trailing Z.  Naive values become UTC."""
+    """ISO 8601, tolerant of a trailing Z.  Naive values become UTC; a value
+    whose UTC time falls outside ``datetime``'s range is MalformedInput."""
     if not isinstance(text, str) or not text:
         raise MalformedInput(f"bad timestamp: {text!r}")
     candidate = text.strip()
@@ -103,8 +102,11 @@ def parse_timestamp(text: str) -> datetime:
     except ValueError as exc:
         raise MalformedInput(f"bad timestamp: {text!r}") from exc
     if stamp.tzinfo is None:
-        stamp = stamp.replace(tzinfo=timezone.utc)
-    return stamp.astimezone(timezone.utc)
+        return stamp.replace(tzinfo=timezone.utc)
+    try:
+        return stamp.astimezone(timezone.utc)
+    except OverflowError as exc:  # e.g. 0001-01-01T00:00:00+05:00
+        raise MalformedInput(f"timestamp out of range: {text!r}") from exc
 
 
 def format_timestamp(stamp: datetime) -> str:
@@ -126,14 +128,12 @@ def parse_har(data: bytes | str, metadata: TraceMetadata) -> Trace:
     if not isinstance(raw_entries, list):
         raise MalformedInput("document has no log.entries list")
 
-    entries = []
-    for index, raw in enumerate(raw_entries):
-        entries.append(_parse_entry(index, raw))
-    entries.sort(key=lambda pair: pair[1].started_at)  # stable: keeps file order
-    ordered = tuple(entry for _, entry in entries)
+    entries = [_parse_entry(index, raw)
+               for index, raw in enumerate(raw_entries)]
+    entries.sort(key=lambda entry: entry.started_at)  # stable: keeps file order
 
-    ibc = tuple(_parse_ibc_list(log.get("_ibc"))) if isinstance(log, dict) else ()
-    return Trace(metadata=metadata, entries=ordered, ibc_events=ibc)
+    ibc = tuple(_parse_ibc_list(log.get("_ibc")))
+    return Trace(metadata=metadata, entries=tuple(entries), ibc_events=ibc)
 
 
 def load_json(data: bytes | str, what: str = "input") -> object:
@@ -153,7 +153,7 @@ def load_json(data: bytes | str, what: str = "input") -> object:
         raise MalformedInput(f"{what} is not JSON: {exc}") from exc
 
 
-def _parse_entry(index: int, raw: object) -> tuple[int, HttpEntry]:
+def _parse_entry(index: int, raw: object) -> HttpEntry:
     if not isinstance(raw, dict):
         raise EntryError(index, "entry is not an object")
     request = raw.get("request")
@@ -168,7 +168,6 @@ def _parse_entry(index: int, raw: object) -> tuple[int, HttpEntry]:
     if not parts.scheme or not parts.netloc:
         raise EntryError(index, f"url is not absolute: {url!r}")
 
-    method = request.get("method") or "GET"
     try:
         started_at = parse_timestamp(raw.get("startedDateTime", ""))
     except MalformedInput as exc:
@@ -197,9 +196,8 @@ def _parse_entry(index: int, raw: object) -> tuple[int, HttpEntry]:
             except ValueError:  # unsplittable, e.g. "https://[::1/x"
                 redirect_target = location
 
-    entry = HttpEntry(
+    return HttpEntry(
         request=HttpRequest(
-            method=str(method),
             url=url,
             headers=req_headers,
             body=body,
@@ -207,7 +205,6 @@ def _parse_entry(index: int, raw: object) -> tuple[int, HttpEntry]:
         ),
         response=HttpResponse(
             status=status,
-            headers=resp_headers,
             redirect_target=redirect_target,
             body=resp_body,
             body_mime=resp_mime,
@@ -215,7 +212,6 @@ def _parse_entry(index: int, raw: object) -> tuple[int, HttpEntry]:
         ),
         started_at=started_at,
     )
-    return index, entry
 
 
 def _parse_headers(raw: object) -> tuple[tuple[str, str], ...]:
@@ -319,7 +315,10 @@ def _parse_ibc_list(raw: object) -> list[IbcEvent]:
         source = str(item["source_origin"])
         if not _is_origin(source):
             raise MalformedInput(f"bad source_origin: {source!r}")
-        kind, payload = str(item["kind"]), str(item["payload"])
+        kind, payload = str(item["kind"]), item["payload"]
+        if not isinstance(payload, str):
+            payload = json.dumps(payload, separators=(",", ":"),
+                                 ensure_ascii=False)
         at = parse_timestamp(item["at"])
         if kind not in IBC_KINDS:
             raise MalformedInput(f"unknown ibc event kind: {kind!r}")

@@ -8,6 +8,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from sso_auditor import classify, spar
+from sso_auditor.domains import split_url
 from sso_auditor.exceptions import MalformedInput
 from sso_auditor.synth import (
     AUTH_URL, IDP_NAME, TRIGGER_SHAPES, LoginShape, build_har, build_meta,
@@ -87,6 +88,23 @@ def test_detect_request_in_post_message():
     assert msg.ref_kind == classify.REF_IBC
     assert msg.channel == classify.CHANNEL_POST_MESSAGE
     assert msg.idp == "Google"
+
+
+def test_object_ibc_payload_decodes_like_its_json_string_twin():
+    payload = {"id_token": spar.encode_jwt({"alg": "RS256"}, {"sub": "1"}),
+               "state": "s-1"}
+
+    def decoded_event(payload):
+        event = {"kind": "post-message", "at": "2026-01-17T12:00:02Z",
+                 "source_origin": "https://accounts.google.com",
+                 "target_origin": "https://shop.example", "payload": payload}
+        trace = _trace([har_entry("https://shop.example/")], ibc=[event])
+        (item,) = classify.decode_trace(trace).ibc_events
+        return item
+
+    as_object = decoded_event(payload)
+    assert as_object.token_channel == classify.CHANNEL_POST_MESSAGE
+    assert as_object == decoded_event(spar.encode_json(payload))
 
 
 def test_dedupe_keeps_first_request_per_destination():
@@ -311,14 +329,35 @@ def test_find_logins_skips_a_run2_login_at_another_idp(decoded):
     assert other.idp == "Facebook"
 
 
+def _pair_runs(run1_messages, run2_messages):
+    """Each run-1 message with the first unused run-2 message of the same
+    IdP and redirect_uri host and path, or None."""
+    def key(msg):
+        parts = split_url(msg.params.redirect_uri or "")
+        return msg.idp, f"{(parts.hostname or '').lower()}{parts.path}"
+
+    used = set()
+    pairs = []
+    for msg in run1_messages:
+        mate = None
+        for index, other in enumerate(run2_messages):
+            if index not in used and key(other) == key(msg):
+                used.add(index)
+                mate = other
+                break
+        pairs.append((msg, mate))
+    return pairs
+
+
 def _reference_logins(view, run2):
-    """find_logins with all of run 2 decoded, then paired by pair_runs."""
+    """find_logins with all of run 2 decoded, then paired by a scan over
+    the run-2 requests."""
     def requests(decoded_view):
         return classify.dedupe_login_requests(
             classify.detect_login_requests(decoded_view))
 
     view2 = classify.decode_trace(run2, view.max_depth, view.max_nodes)
-    pairs = classify.pair_runs(requests(view), requests(view2))
+    pairs = _pair_runs(requests(view), requests(view2))
     logins = classify.find_logins(view)
     assert [login.request for login in logins] == [msg for msg, _ in pairs]
     return [login._replace(request2=mate)
@@ -415,25 +454,25 @@ def test_returned_flow_from_params():
 # ---------------------------------------------------------------------------
 # run pairing
 
-def test_pair_runs_aligns_by_destination():
-    trace1 = _login_trace(seed=1)
-    trace2 = _login_trace(seed=2)
-    m1 = classify.detect_login_requests(classify.decode_trace(trace1))
-    m2 = classify.detect_login_requests(classify.decode_trace(trace2))
-    pairs = classify.pair_runs(m1, m2)
-    assert len(pairs) == 1
-    first, second = pairs[0]
-    assert first is m1[0]
-    assert second is m2[0]
+def test_find_logins_pairs_the_first_run2_request_per_destination():
+    run2 = _trace(synth_login_entries(random.Random(2), "shop.example",
+                                      LoginShape())
+                  + synth_login_entries(random.Random(4), "shop.example",
+                                        LoginShape()))
+    first, second = classify.detect_login_requests(classify.decode_trace(run2))
+    view = classify.decode_trace(_login_trace(seed=1))
+    (login,) = classify.find_logins(view, None, run2)
+    assert login.request2 == first
     # values differ across runs, the destination does not
-    assert first.params.state != second.params.state
+    assert login.request.params.state not in (first.params.state,
+                                              second.params.state)
 
 
-def test_pair_runs_tolerates_missing_partner():
-    trace1 = _login_trace(seed=1)
-    m1 = classify.detect_login_requests(classify.decode_trace(trace1))
-    pairs = classify.pair_runs(m1, [])
-    assert pairs == [(m1[0], None)]
+def test_find_logins_tolerates_missing_partner():
+    view = classify.decode_trace(_login_trace(seed=1))
+    for run2 in (None, _trace([har_entry(_BEACON)])):
+        (login,) = classify.find_logins(view, None, run2)
+        assert login.request2 is None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ def _reference_registrable_domain(host: str) -> str:
     if len(labels) <= 2:
         return host
     tail2 = ".".join(labels[-2:])
-    if tail2 in domains._MULTI_LABEL_SUFFIXES or tail2 in domains.EXTRA_SUFFIXES:
+    if tail2 in domains._MULTI_LABEL_SUFFIXES:
         return ".".join(labels[-3:])
     return tail2
 

@@ -259,6 +259,34 @@ def test_unit_errors_do_not_depend_on_the_root_path(tmp_path, monkeypatch,
     assert "| c.example/google | no meta.json in run2 |" in outputs[1]
 
 
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+05:00",
+                                   "9999-12-31T23:59:59-05:00"])
+@pytest.mark.parametrize("field", ["captured_at", "startedDateTime", "at"])
+def test_out_of_range_timestamp_gives_an_error_row(tmp_path, capsys, field,
+                                                   stamp):
+    root = tmp_path / "traces"
+    bad = _write_unit("analyze", root / "a.example" / "google", "a.example", 3)
+    _write_unit("analyze", root / "b.example" / "google", "b.example", 4)
+    if field == "captured_at":
+        meta = json.loads((bad / "meta.json").read_text())
+        meta["captured_at"] = stamp
+        (bad / "meta.json").write_text(json.dumps(meta))
+    elif field == "startedDateTime":
+        har = json.loads((bad / "trace.har").read_text())
+        har["log"]["entries"][1]["startedDateTime"] = stamp
+        (bad / "trace.har").write_text(json.dumps(har))
+    else:
+        (bad / "ibc.json").write_text(json.dumps([{
+            "kind": "post-message", "source_origin": "https://a.example",
+            "target_origin": "*", "payload": "", "at": stamp}]))
+    code = cli.main(["analyze", str(root)])
+    captured = capsys.readouterr()
+    assert code in (0, 2) and captured.err == ""
+    (error,) = json.loads(captured.out)["errors"]
+    assert error["unit"] == "a.example/google"
+    assert "out of range" in error["error"] and stamp in error["error"]
+
+
 def _table_cells(line: str) -> list[str]:
     """The cells of one Markdown table row; an escaped "\\|" is no border."""
     assert line.startswith("| ") and line.endswith(" |"), line

