@@ -19,6 +19,9 @@ provider endpoint or, as a generic fallback, the request also names a
 with at least one token-bearing parameter; an entry URL's scheme, host and
 path must equal the redirect_uri's (exact matching, RFC 9700).
 
+The IdP registry, built-in or loaded from a file, comes from one validating
+builder, which indexes the endpoint patterns by host once.
+
 ``find_logins`` puts each login together once, as a ``Login`` record that
 the security rules and the privacy detectors read: the deduplicated request,
 its response, its partner in a second recording, and whether the login's
@@ -103,104 +106,92 @@ class SsoMessage(NamedTuple):
 # ---------------------------------------------------------------------------
 # identity provider registry
 
-class IdpEndpoints(NamedTuple):
-    name: str
-    authorization_patterns: tuple[str, ...] = ()
-    token_patterns: tuple[str, ...] = ()
-
-
 class IdpRegistry(NamedTuple):
-    idps: tuple[IdpEndpoints, ...]
+    """Endpoint patterns indexed by lowercased host.  ``authorization`` and
+    ``token`` map a host to its (path prefix, IdP) pairs in first-match
+    order: IdPs in document order, then their patterns in order.
+    ``origins`` maps a host to the first IdP with a pattern on it."""
+
+    authorization: dict[str, list[tuple[str, str]]]
+    token: dict[str, list[tuple[str, str]]]
+    origins: dict[str, str]
 
     def match_authorization(self, url: str) -> str | None:
-        return self._match(url, "authorization_patterns")
+        return _match(self.authorization, url)
 
     def match_token(self, url: str) -> str | None:
-        return self._match(url, "token_patterns")
+        return _match(self.token, url)
 
     def match_origin(self, origin: str) -> str | None:
         host = url_host(origin) if "://" in origin else origin.lower()
-        if not host:
-            return None
-        for idp in self.idps:
-            for pattern in idp.authorization_patterns + idp.token_patterns:
-                if _pattern_host(pattern) == host:
-                    return idp.name
-        return None
-
-    def _match(self, url: str, attr: str) -> str | None:
-        parts = split_url(url)
-        host = (parts.hostname or "").lower()
-        path = parts.path or "/"
-        for idp in self.idps:
-            for pattern in getattr(idp, attr):
-                p_host, _, p_path = pattern.partition("/")
-                if host == p_host.lower() and path.startswith("/" + p_path):
-                    return idp.name
-        return None
+        return self.origins.get(host) if host else None
 
 
-def _pattern_host(pattern: str) -> str:
-    return pattern.partition("/")[0].lower()
+def _match(patterns: dict[str, list[tuple[str, str]]], url: str) -> str | None:
+    parts = split_url(url)
+    path = parts.path or "/"
+    for prefix, name in patterns.get((parts.hostname or "").lower(), ()):
+        if path.startswith(prefix):
+            return name
+    return None
+
+
+_BUILTIN_REGISTRY = {"idps": [
+    {"name": "Google",
+     "authorization_patterns": ["accounts.google.com/o/oauth2",
+                                "accounts.google.com/signin/oauth",
+                                "accounts.google.com/gsi"],
+     "token_patterns": ["oauth2.googleapis.com/token",
+                        "www.googleapis.com/oauth2",
+                        "accounts.google.com/o/oauth2/token"]},
+    {"name": "Facebook",
+     "authorization_patterns": ["www.facebook.com/dialog/oauth",
+                                "www.facebook.com/v",
+                                "m.facebook.com/dialog/oauth",
+                                "www.facebook.com/login"],
+     "token_patterns": ["graph.facebook.com/oauth/access_token",
+                        "graph.facebook.com/v"]},
+    {"name": "Apple",
+     "authorization_patterns": ["appleid.apple.com/auth/authorize"],
+     "token_patterns": ["appleid.apple.com/auth/token"]},
+]}
 
 
 def default_registry() -> IdpRegistry:
-    return IdpRegistry(idps=(
-        IdpEndpoints(
-            name="Google",
-            authorization_patterns=(
-                "accounts.google.com/o/oauth2",
-                "accounts.google.com/signin/oauth",
-                "accounts.google.com/gsi",
-            ),
-            token_patterns=(
-                "oauth2.googleapis.com/token",
-                "www.googleapis.com/oauth2",
-                "accounts.google.com/o/oauth2/token",
-            ),
-        ),
-        IdpEndpoints(
-            name="Facebook",
-            authorization_patterns=(
-                "www.facebook.com/dialog/oauth",
-                "www.facebook.com/v",
-                "m.facebook.com/dialog/oauth",
-                "www.facebook.com/login",
-            ),
-            token_patterns=(
-                "graph.facebook.com/oauth/access_token",
-                "graph.facebook.com/v",
-            ),
-        ),
-        IdpEndpoints(
-            name="Apple",
-            authorization_patterns=("appleid.apple.com/auth/authorize",),
-            token_patterns=("appleid.apple.com/auth/token",),
-        ),
-    ))
+    """The built-in Google, Facebook and Apple endpoints."""
+    return _build_registry(_BUILTIN_REGISTRY)
 
 
 def load_registry(data: bytes | str) -> IdpRegistry:
     """Registry config: {"idps": [{"name", "authorization_patterns", "token_patterns"}]}"""
-    doc = load_json(data, "registry")
+    return _build_registry(load_json(data, "registry"))
+
+
+def _build_registry(doc: object) -> IdpRegistry:
+    """The registry of a checked registry document, indexed by host."""
     if not isinstance(doc, dict) or not isinstance(doc.get("idps"), list):
         raise MalformedInput("registry document needs an idps list")
-    idps = []
+    index: dict[str, dict[str, list[tuple[str, str]]]] = {
+        "authorization": {}, "token": {}}
+    origins: dict[str, str] = {}
     for item in doc["idps"]:
         if not isinstance(item, dict) or "name" not in item:
             raise MalformedInput("registry idp entries need a name")
-        patterns = {}
-        for key in ("authorization_patterns", "token_patterns"):
-            value = item.get(key, [])
-            if not isinstance(value, list) \
-                    or not all(isinstance(p, str) for p in value):
-                raise MalformedInput(f"registry {key} must be a list of strings")
-            patterns[key] = tuple(value)
         if item["name"] == TOTAL_LABEL:
             raise MalformedInput(f"registry idp name {TOTAL_LABEL!r} is "
                                  "reserved")
-        idps.append(IdpEndpoints(name=str(item["name"]), **patterns))
-    return IdpRegistry(idps=tuple(idps))
+        name = str(item["name"])
+        for kind, by_host in index.items():
+            key = f"{kind}_patterns"
+            patterns = item.get(key, [])
+            if not isinstance(patterns, list) \
+                    or not all(isinstance(p, str) for p in patterns):
+                raise MalformedInput(f"registry {key} must be a list of strings")
+            for pattern in patterns:
+                host, _, path = pattern.partition("/")
+                by_host.setdefault(host.lower(), []).append(("/" + path, name))
+                origins.setdefault(host.lower(), name)
+    return IdpRegistry(origins=origins, **index)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +247,10 @@ def decode_trace(trace: Trace, max_depth: int = spar.DEFAULT_MAX_DEPTH,
     """Decode every surface of ``trace`` once, under the given budgets.
 
     Given ``idps``, decode only the entries whose URL and the events whose
-    target origin map to one of them in ``registry``; every other item is
-    left empty, with no parameters and no token channel.
+    target origin map to one of them in ``registry``, which must then be
+    given; every other item is left empty, with no parameters and no token
+    channel.
     """
-    if idps is not None:
-        registry = registry or default_registry()
     return DecodedTrace(
         trace=trace,
         entries=tuple(

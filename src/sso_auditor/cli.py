@@ -160,7 +160,7 @@ def _load_config(args) -> tuple[security.RuleConfig, IdpRegistry, str]:
         entropy_threshold_bits=float(entropy),
         treat_pkce_as_csrf_protection=pkce,
         max_spar_depth=_budget("max_spar_depth", doc.get(
-            "max_spar_depth", spar.DEFAULT_MAX_DEPTH)),
+            "max_spar_depth", spar.DEFAULT_MAX_DEPTH), spar.MAX_DEPTH_BOUND),
         max_spar_nodes=_budget("max_spar_nodes", doc.get(
             "max_spar_nodes", spar.DEFAULT_MAX_NODES)),
     )
@@ -175,10 +175,13 @@ def _load_config(args) -> tuple[security.RuleConfig, IdpRegistry, str]:
     return cfg, load_registry(Path(registry_path).read_bytes()), registry_path
 
 
-def _budget(name: str, value: object) -> int:
-    """A SPAR depth or node budget: an integer of at least 1."""
+def _budget(name: str, value: object, most: int | None = None) -> int:
+    """A SPAR depth or node budget: an integer of at least 1, and at most
+    ``most`` when given."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise MalformedInput(f"{name} must be an integer >= 1, got {value!r}")
+    if most is not None and value > most:
+        raise MalformedInput(f"{name} must be at most {most}, got {value!r}")
     return value
 
 
@@ -259,10 +262,11 @@ def _cmd_privacy(args) -> int:
     cfg, registry, source = _load_config(args)
 
     def analyze_unit(idp_dir: Path):
+        dir_names = [name for name in _VISIT_DIRS if (idp_dir / name).is_dir()]
+        if not dir_names:
+            raise MalformedInput(f"no {' or '.join(_VISIT_DIRS)} visit bundle")
         traces, findings = [], []
-        for dir_name in _VISIT_DIRS:
-            if not (idp_dir / dir_name).is_dir():
-                continue
+        for dir_name in dir_names:
             trace = _read_bundle(idp_dir, dir_name)
             traces.append(trace)
             view = decode_trace(trace, cfg.max_spar_depth, cfg.max_spar_nodes)
@@ -283,7 +287,8 @@ def _cmd_privacy(args) -> int:
 
 
 def _cmd_spar(args) -> int:
-    tree = spar.decode(args.value, _budget("--max-depth", args.max_depth),
+    tree = spar.decode(args.value, _budget("--max-depth", args.max_depth,
+                                           spar.MAX_DEPTH_BOUND),
                        _budget("--max-nodes", args.max_nodes))
     _emit(tree.to_json() + "\n", None)
     return EXIT_OK

@@ -6,11 +6,14 @@ the configured SPAR budgets) and puts each login together once
 partner of a first-run login can be).  Every per-login rule has one signature,
 ``check_x(login, cfg) -> list[Finding]``, and runs from the ``LOGIN_RULES``
 table of (group name, rule), each group guarded so that a crashing rule
-becomes one ``analyzer.error`` finding.  The view is the rules' only SPAR
-input, so ``run_all``'s ``decode_trace`` call alone applies the budgets: a
-rule reads a parameter's node (``SsoMessage.locations``) as the view cut it,
-with ``max_spar_depth - d`` levels left at surface depth d and the
-surface's node budget shared.  Rules decode only what is no request
+becomes one ``analyzer.error`` finding.  Only the rules that read the whole
+view, not one login, are trace-level and run after the table:
+``check_secret_leakage`` and ``check_transport``.  ``run_all`` sorts the
+findings at the end.  The view is the rules' only SPAR input, so
+``run_all``'s ``decode_trace`` call alone applies the budgets: a rule reads
+a parameter's node (``SsoMessage.locations``) as the view cut it, with
+``max_spar_depth - d`` levels left at surface depth d and the surface's
+node budget shared.  Rules decode only what is no request
 surface, a Referer header and a 307 ``Location``, under the view's budgets.
 Nothing is ever replayed or probed.  Findings carry a stable rule_id, a
 category (vulnerability or potential-issue), and non-empty evidence pointing
@@ -393,6 +396,19 @@ def check_id_token_alg(login: Login, cfg: RuleConfig) -> list[Finding]:
     return []
 
 
+def check_plain_redirect_uri(login: Login, cfg: RuleConfig) -> list[Finding]:
+    request = login.request
+    parts = split_url(request.params.redirect_uri or "")
+    if parts.scheme.lower() != "http" \
+            or is_loopback_host(parts.hostname or ""):
+        return []
+    return [Finding(
+        rule_id=RULE_PLAIN_REDIRECT_URI, idp=request.idp,
+        evidence=(_param_evidence(request, "redirect_uri"),),
+        message="redirect_uri uses plain http on a non-loopback host",
+    )]
+
+
 # (group name, rule) in evaluation order; a group that raises becomes one
 # analyzer.error finding named after it
 LOGIN_RULES = (
@@ -402,6 +418,7 @@ LOGIN_RULES = (
     ("open-redirect", check_open_redirect),
     ("injection", check_injection_protection),
     ("id-token-alg", check_id_token_alg),
+    ("plain-redirect-uri", check_plain_redirect_uri),
 )
 
 
@@ -489,25 +506,9 @@ def _first_token_path(hits: spar.SegmentIndex) -> spar.Path | None:
     return None
 
 
-def check_transport(view: DecodedTrace, requests: list[SsoMessage],
-                    idp: str) -> list[Finding]:
-    trace = view.trace
+def check_transport(view: DecodedTrace, idp: str) -> list[Finding]:
     findings = []
-
-    for msg in requests:
-        redirect_uri = msg.params.redirect_uri
-        if not redirect_uri:
-            continue
-        parts = split_url(redirect_uri)
-        if parts.scheme.lower() == "http" \
-                and not is_loopback_host(parts.hostname or ""):
-            findings.append(Finding(
-                rule_id=RULE_PLAIN_REDIRECT_URI, idp=msg.idp,
-                evidence=(_param_evidence(msg, "redirect_uri"),),
-                message="redirect_uri uses plain http on a non-loopback host",
-            ))
-
-    for index, entry in enumerate(trace.entries):
+    for index, entry in enumerate(view.trace.entries):
         if split_url(entry.request.url).scheme.lower() == "http":
             findings.append(Finding(
                 rule_id=RULE_PLAIN_REQUEST, idp=idp,
@@ -515,8 +516,6 @@ def check_transport(view: DecodedTrace, requests: list[SsoMessage],
                                    excerpt=entry.request.url),),
                 message="request sent over plain http",
             ))
-
-    for index, entry in enumerate(trace.entries):
         if entry.response.status != 307 or not entry.response.redirect_target:
             continue
         target = entry.response.redirect_target
@@ -638,7 +637,7 @@ def run_all(run1: Trace, run2: Trace | None = None,
         ))
 
     findings.extend(check_secret_leakage(view1, requests, idp))
-    findings.extend(check_transport(view1, requests, idp))
+    findings.extend(check_transport(view1, idp))
     findings.sort(key=lambda f: (f.rule_id, f.evidence[0].entry_index,
                                  f.evidence[0].spar_path))
     return SecurityAnalysis(domain=run1.metadata.domain, idp=idp, logins=rows,

@@ -27,8 +27,9 @@ scheme; percent a "%"; base64 a length of at least 8 that is a multiple
 of 4.
 
 Stops are silent: depth and node budgets truncate the tree, and JSON nested
-too deeply to load stays a leaf; none of them raises.  A node is a leaf
-exactly when it has no children.
+too deeply to load stays a leaf; none of them raises.  The depth budget is
+at most ``MAX_DEPTH_BOUND``, so the recursion of a decode stays far from
+Python's limit.  A node is a leaf exactly when it has no children.
 
 Percent-decoding (form keys and values, and the percent codec) gives
 exactly what ``urllib.parse.unquote`` gives.  ASCII text is decoded by the
@@ -40,10 +41,12 @@ back to ``unquote``.
 Given ``hits``, a dict from path segment to a list, ``decode`` and
 ``decode_query_string`` append ``(path, node)`` to ``hits[name]`` for every
 node of the tree whose final path segment is a key ``name`` of ``hits``, in
-preorder; other segments are not recorded.  Starting from empty lists,
-``hits[name]`` ends as every ``(path, node)`` of the tree whose path ends in
-``name``, in preorder (the root, with the empty path, is never recorded).
-Callers that read a few parameter names thus need no second walk.
+preorder; other segments are not recorded.  Each node is made, recorded,
+then expanded, so its hit is appended before those of its descendants.
+Starting from empty lists, ``hits[name]`` ends as every ``(path, node)`` of
+the tree whose path ends in ``name``, in preorder (the root, with the empty
+path, is never recorded).  Callers that read a few parameter names thus
+need no second walk.
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ NESTED_URL = "nested-url"
 
 DEFAULT_MAX_DEPTH = 8
 DEFAULT_MAX_NODES = 10_000
+# the largest depth budget: a level takes up to four stack frames
+MAX_DEPTH_BOUND = 64
 
 Path = tuple[str, ...]
 
@@ -127,14 +132,15 @@ SegmentIndex = dict[str, list[tuple[Path, SparNode]]]
 
 
 class _Budget:
-    """The node budget of one decode, the hits it records, and the path of
-    the node being decoded."""
+    """The depth and node budgets of one decode, the hits it records, and
+    the path of the node being expanded."""
 
-    __slots__ = ("used", "limit", "hits", "path")
+    __slots__ = ("used", "limit", "max_depth", "hits", "path")
 
-    def __init__(self, limit: int, hits: SegmentIndex):
+    def __init__(self, max_depth: int, limit: int, hits: SegmentIndex):
         self.used = 0
         self.limit = limit
+        self.max_depth = max_depth
         self.hits = hits
         self.path: Path = ()
 
@@ -167,88 +173,83 @@ def decode_query_string(value: str, max_depth: int = DEFAULT_MAX_DEPTH,
     return _decode_root(_query_node, value, max_depth, max_nodes, hits)
 
 
-def _decode_root(build: Callable[..., SparNode], value: str, max_depth: int,
-                 max_nodes: int, hits: SegmentIndex | None) -> SparNode:
-    """The tree ``build`` makes of ``value``, its root taken from a fresh
-    budget that records into ``hits`` (nothing when it is None)."""
-    if max_depth < 1 or max_nodes < 1:
-        raise ValueError("max_depth and max_nodes must be >= 1")
-    budget = _Budget(max_nodes, {} if hits is None else hits)
+def _decode_root(expand: Callable[[SparNode, _Budget], None], value: str,
+                 max_depth: int, max_nodes: int,
+                 hits: SegmentIndex | None) -> SparNode:
+    """The root ``value`` filled in by the expander ``expand``, under a
+    fresh budget that records into ``hits`` (nothing when it is None)."""
+    if not 1 <= max_depth <= MAX_DEPTH_BOUND or max_nodes < 1:
+        raise ValueError(f"max_depth must be from 1 to {MAX_DEPTH_BOUND} "
+                         "and max_nodes >= 1")
+    budget = _Budget(max_depth, max_nodes, {} if hits is None else hits)
     budget.take()  # root
-    return build(value, 0, max_depth, budget)
+    root = SparNode(value, LEAF, {}, 0)
+    expand(root, budget)
+    return root
 
 
-def _query_node(value: str, depth: int, max_depth: int,
-                budget: _Budget) -> SparNode:
-    """A query-string node holding the form pairs of ``value``; a leaf when
-    there are none.  Its own node is already taken from ``budget``."""
-    node = SparNode(value, QUERY_STRING, {}, depth)
-    _attach_form_children(node, value, max_depth, budget)
-    if not node.children:
-        node.decoding = LEAF
-    return node
+def _query_node(node: SparNode, budget: _Budget) -> None:
+    """Make ``node`` a query-string node holding the form pairs of its
+    value; it stays a leaf when there are none."""
+    _attach_form_children(node, node.raw, budget)
+    if node.children:
+        node.decoding = QUERY_STRING
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 
-def _decode_node(value: str, depth: int, max_depth: int, budget: _Budget) -> SparNode:
-    node = SparNode(value, LEAF, {}, depth)
-    if depth >= max_depth or not value:
-        return node
+def _decode_node(node: SparNode, budget: _Budget) -> None:
+    value = node.raw
+    if node.depth >= budget.max_depth or not value:
+        return
     # the codecs in their fixed order, each behind its own first test
-    if value.count(".") == 2 and _try_jwt(node, value, max_depth, budget):
-        return node
+    if value.count(".") == 2 and _try_jwt(node, value, budget):
+        return
     first = value[0]
-    if (first in "{[" or first.isspace()) \
-            and _try_json(node, value, max_depth, budget):
-        return node
+    if (first in "{[" or first.isspace()) and _try_json(node, value, budget):
+        return
     url = _ABS_URL.match(value)
-    if not url and "=" in value and _try_form(node, value, max_depth, budget):
-        return node
-    if url and _try_url(node, value, max_depth, budget):
-        return node
-    if "%" in value and _try_percent(node, value, max_depth, budget):
-        return node
+    if not url and "=" in value and _try_form(node, value, budget):
+        return
+    if url and _try_url(node, value, budget):
+        return
+    if "%" in value and _try_percent(node, value, budget):
+        return
     if len(value) >= 8 and len(value) % 4 == 0 \
-            and _try_base64(node, value, max_depth, budget):
-        return node
+            and _try_base64(node, value, budget):
+        return
     # a codec that took no child may have labelled the node
     node.decoding = LEAF
-    return node
 
 
-def _add_child(node: SparNode, segment: str, value: str, max_depth: int,
-               budget: _Budget,
-               build: Callable[..., SparNode] = _decode_node) -> bool:
-    """Attach ``build(value, ...)`` (``_decode_node`` by default) under
-    ``segment``; False when the depth limit or the node budget stops it.
+def _add_child(node: SparNode, segment: str, value: str, budget: _Budget,
+               expand: Callable[[SparNode, _Budget], None] | None = None,
+               ) -> bool:
+    """Make the leaf ``value`` under ``segment``, record its hit, then fill
+    it in by the expander ``expand`` (``_decode_node``, looked up now, when
+    None); False when the depth limit or the node budget stops it.
 
-    A requested segment's hit slot is reserved before the child is built,
-    so hits stay in preorder.
-    """
-    if node.depth >= max_depth or not budget.take():
+    An expander, ``(node, budget) -> None``, fills in a leaf that is
+    already made, taken from the budget and recorded."""
+    if node.depth >= budget.max_depth or not budget.take():
         return False
+    child = node.children[segment] = SparNode(value, LEAF, {}, node.depth + 1)
     parent_path = budget.path
     path = budget.path = parent_path + (segment,)
     found = budget.hits.get(segment)
     if found is not None:
-        slot = len(found)
-        found.append(None)  # reserved until the child is built
-    child = node.children[segment] = build(value, node.depth + 1, max_depth,
-                                           budget)
+        found.append((path, child))
+    (expand or _decode_node)(child, budget)
     budget.path = parent_path
-    if found is not None:
-        found[slot] = (path, child)
     return True
 
 
-def _leaf_node(value: str, depth: int, max_depth: int,
-               budget: _Budget) -> SparNode:
-    return SparNode(value, LEAF, {}, depth)
+def _leaf_node(node: SparNode, budget: _Budget) -> None:
+    """Leave ``node`` a leaf."""
 
 
-def _try_jwt(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bool:
+def _try_jwt(node: SparNode, value: str, budget: _Budget) -> bool:
     segments = value.split(".")
     if len(segments) != 3:
         return False
@@ -269,18 +270,17 @@ def _try_jwt(node: SparNode, value: str, max_depth: int, budget: _Budget) -> boo
         return False
     payload_text = _b64url_to_text(payload_seg)
     node.decoding = JWT
-    _add_child(node, "header", header_text, max_depth, budget)
+    _add_child(node, "header", header_text, budget)
     # an undecodable payload stays opaque; the signature always does
     _add_child(node, "payload",
                payload_text if payload_text is not None else payload_seg,
-               max_depth, budget)
+               budget)
     if node.children:
-        _add_child(node, "signature", signature_seg, max_depth, budget,
-                   _leaf_node)
+        _add_child(node, "signature", signature_seg, budget, _leaf_node)
     return bool(node.children)
 
 
-def _try_json(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bool:
+def _try_json(node: SparNode, value: str, budget: _Budget) -> bool:
     stripped = value.strip()
     if not stripped or stripped[0] not in "{[":
         return False
@@ -293,8 +293,7 @@ def _try_json(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bo
     node.decoding = JSON_DOC
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
     for key, child in items:
-        if not _add_child(node, str(key), _json_child_text(child), max_depth,
-                          budget):
+        if not _add_child(node, str(key), _json_child_text(child), budget):
             break
     return bool(node.children)
 
@@ -315,7 +314,7 @@ def _json_child_text(value: object) -> str:
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
 
 
-def _try_form(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bool:
+def _try_form(node: SparNode, value: str, budget: _Budget) -> bool:
     if "=" not in value or _ABS_URL.match(value):
         return False
     pairs = []
@@ -328,11 +327,11 @@ def _try_form(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bo
     if len(pairs) == 1 and set(pairs[0][1]) <= {"="}:
         return False
     node.decoding = WWW_FORM
-    _attach_form_children(node, value, max_depth, budget)
+    _attach_form_children(node, value, budget)
     return bool(node.children)
 
 
-def _attach_form_children(node: SparNode, value: str, max_depth: int,
+def _attach_form_children(node: SparNode, value: str,
                           budget: _Budget) -> None:
     # Form keys are the only segments that repeat (JSON keys and indices,
     # JWT parts and URL components are distinct).  A repeat becomes key#2,
@@ -346,7 +345,7 @@ def _attach_form_children(node: SparNode, value: str, max_depth: int,
             segment = f"{key}#{n}"
             n += 1
         next_suffix[key] = n
-        if not _add_child(node, segment, val, max_depth, budget):
+        if not _add_child(node, segment, val, budget):
             break
 
 
@@ -380,24 +379,23 @@ def _unquote(value: str) -> str:
     return unquote(value)
 
 
-def _try_url(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bool:
+def _try_url(node: SparNode, value: str, budget: _Budget) -> bool:
     parts = _http_url_parts(value)
     if parts is None:
         return False
     node.decoding = NESTED_URL
-    _add_child(node, "scheme", parts.scheme.lower(), max_depth, budget)
-    _add_child(node, "host", parts.netloc, max_depth, budget)
+    _add_child(node, "scheme", parts.scheme.lower(), budget)
+    _add_child(node, "host", parts.netloc, budget)
     if parts.path:
-        _add_child(node, "path", parts.path, max_depth, budget)
+        _add_child(node, "path", parts.path, budget)
     if parts.query:
-        _add_child(node, "query-string", parts.query, max_depth, budget,
-                   _query_node)
+        _add_child(node, "query-string", parts.query, budget, _query_node)
     if parts.fragment:
-        _add_child(node, "fragment", parts.fragment, max_depth, budget)
+        _add_child(node, "fragment", parts.fragment, budget)
     return bool(node.children)
 
 
-def _try_percent(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bool:
+def _try_percent(node: SparNode, value: str, budget: _Budget) -> bool:
     if "%" not in value:
         return False
     decoded = _unquote(value)
@@ -405,7 +403,7 @@ def _try_percent(node: SparNode, value: str, max_depth: int, budget: _Budget) ->
         return False
     # only unwrap when the decoded string itself has structure
     snapshot = budget.used
-    if not _add_child(node, "decoded", decoded, max_depth, budget):
+    if not _add_child(node, "decoded", decoded, budget):
         return False
     if node.children["decoded"].is_leaf:
         # a leaf has no descendants, so its own hit is the last one
@@ -418,7 +416,7 @@ def _try_percent(node: SparNode, value: str, max_depth: int, budget: _Budget) ->
     return True
 
 
-def _try_base64(node: SparNode, value: str, max_depth: int, budget: _Budget) -> bool:
+def _try_base64(node: SparNode, value: str, budget: _Budget) -> bool:
     if len(value) < 8 or len(value) % 4 != 0:
         return False
     if _B64_STD.fullmatch(value):
@@ -446,7 +444,7 @@ def _try_base64(node: SparNode, value: str, max_depth: int, budget: _Budget) -> 
             and not _parses_as_json_container(text):
         return False
     node.decoding = label
-    _add_child(node, "decoded", text, max_depth, budget)
+    _add_child(node, "decoded", text, budget)
     return bool(node.children)
 
 

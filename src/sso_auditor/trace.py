@@ -271,7 +271,7 @@ def parse_metadata(data: bytes | str) -> TraceMetadata:
         if key not in doc:
             raise MissingMetadataField(key)
     run_index = doc["run_index"]
-    if not isinstance(run_index, int):
+    if isinstance(run_index, bool) or not isinstance(run_index, int):
         raise MalformedInput(f"run_index is not an integer: {run_index!r}")
     idp = doc.get("idp")
     captured_at = parse_timestamp(doc["captured_at"])

@@ -8,7 +8,7 @@ from urllib.parse import urlsplit
 import pytest
 
 from sso_auditor import classify, spar
-from sso_auditor.domains import split_url
+from sso_auditor.domains import split_url, url_host
 from sso_auditor.exceptions import MalformedInput
 from sso_auditor.synth import (
     AUTH_URL, IDP_NAME, TRIGGER_SHAPES, LoginShape, build_har, build_meta,
@@ -512,3 +512,72 @@ def test_default_registry_patterns():
     assert registry.match_authorization(
         "https://appleid.apple.com/auth/authorize") == "Apple"
     assert registry.match_origin("https://accounts.google.com") == "Google"
+
+
+def test_default_registry_is_its_document_through_load_registry():
+    # one build path: the built-in document passes the file checks too
+    assert classify.default_registry() == classify.load_registry(
+        json.dumps(classify._BUILTIN_REGISTRY))
+
+
+def _reference_match(doc, url, keys):
+    """The first IdP, in document order and then pattern order, with a
+    pattern under ``keys`` whose host is the URL's and whose path prefixes
+    the URL's path."""
+    parts = split_url(url)
+    host, path = (parts.hostname or "").lower(), parts.path or "/"
+    for item in doc["idps"]:
+        for key in keys:
+            for pattern in item.get(key, []):
+                p_host, _, p_path = pattern.partition("/")
+                if host == p_host.lower() and path.startswith("/" + p_path):
+                    return item["name"]
+    return None
+
+
+def _reference_origin(doc, origin):
+    host = url_host(origin) if "://" in origin else origin.lower()
+    if not host:
+        return None
+    for item in doc["idps"]:
+        for key in ("authorization_patterns", "token_patterns"):
+            for pattern in item.get(key, []):
+                if pattern.partition("/")[0].lower() == host:
+                    return item["name"]
+    return None
+
+
+_SHARED_HOST_DOC = {"idps": [
+    {"name": "A",
+     "authorization_patterns": ["Login.example/a", "login.example/"],
+     "token_patterns": ["token.example/t"]},
+    {"name": "B", "authorization_patterns": ["login.example/ab", "b.example/x"],
+     "token_patterns": ["token.example/", "login.example/t"]},
+    {"name": "C", "authorization_patterns": ["/blank-host"],
+     "token_patterns": ["c.example"]},
+]}
+
+
+@pytest.mark.parametrize("url", [
+    "https://login.example/ab/x", "https://LOGIN.example/a",
+    "https://login.example", "https://login.example/z", "https://b.example/x?y", "https://b.example/y",
+    "https://token.example/t1", "https://token.example/u", "https://c.example/",
+    "https://login.example/t", "mailto:x@login.example", "https://[::1/x", "",
+])
+def test_registry_matches_as_a_scan_in_document_order(url):
+    registry = classify.load_registry(json.dumps(_SHARED_HOST_DOC))
+    assert registry.match_authorization(url) == _reference_match(
+        _SHARED_HOST_DOC, url, ("authorization_patterns",))
+    assert registry.match_token(url) == _reference_match(
+        _SHARED_HOST_DOC, url, ("token_patterns",))
+
+
+@pytest.mark.parametrize("origin", [
+    "https://login.example", "https://token.example", "https://b.example",
+    "https://c.example", "c.example", "LOGIN.EXAMPLE", "*", "",
+    "https://other.example",
+])
+def test_registry_matches_origins_as_a_scan_in_document_order(origin):
+    registry = classify.load_registry(json.dumps(_SHARED_HOST_DOC))
+    assert registry.match_origin(origin) == _reference_origin(
+        _SHARED_HOST_DOC, origin)

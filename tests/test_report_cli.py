@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from sso_auditor import cli, report, security
+from sso_auditor import cli, report, security, spar
 from sso_auditor.exceptions import UnknownFormat
 from sso_auditor.synth import (
     LoginShape, build_har, build_meta, har_entry, synth_login_entries,
@@ -393,6 +393,45 @@ def test_privacy_subcommand(tmp_path, capsys):
     assert doc["security"] == []
 
 
+def test_privacy_unit_without_a_visit_bundle_is_an_errors_row(tmp_path,
+                                                               capsys):
+    root = tmp_path / "visits"
+    write_visit_unit(root / "news.example" / "google", "news.example", seed=6)
+    # a misnamed bundle directory: neither consent/ nor noconsent/
+    write_visit_unit(root / "shop.example" / "google", "shop.example", seed=7)
+    for name in ("consent", "noconsent"):
+        (root / "shop.example" / "google" / name).rename(
+            root / "shop.example" / "google" / (name + "ed"))
+    assert cli.main(["privacy", str(root)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    (error,) = json.loads(captured.out)["errors"]
+    assert error["unit"] == "shop.example/google"
+    assert "no consent or noconsent visit bundle" in error["error"]
+
+
+def test_privacy_fails_when_no_unit_has_a_visit_bundle(tmp_path, capsys):
+    unit = tmp_path / "visits" / "shop.example" / "google"
+    (unit / "consented").mkdir(parents=True)
+    assert cli.main(["privacy", str(tmp_path / "visits")]) == 1
+    _one_error_line(capsys, "shop.example/google",
+                    "no consent or noconsent visit bundle")
+
+
+def test_spar_subcommand_decodes_a_form_nested_to_the_depth_bound(capsys):
+    value = "x=y"
+    for _ in range(spar.MAX_DEPTH_BOUND):
+        value = "a=" + spar.encode_percent(value)
+    bound = str(spar.MAX_DEPTH_BOUND)
+    assert cli.main(["spar", value, "--max-depth", bound]) == 0
+    node = json.loads(capsys.readouterr().out)
+    depth = 0
+    while node["children"]:
+        (node,) = node["children"].values()
+        depth += 1
+    assert depth == spar.MAX_DEPTH_BOUND
+
+
 def test_spar_subcommand(capsys):
     assert cli.main(["spar", "a=1&b=2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -764,8 +803,12 @@ def _one_error_line(capsys, *needles):
         assert needle in err
 
 
-@pytest.mark.parametrize("key", ["max_spar_depth", "max_spar_nodes"])
-@pytest.mark.parametrize("value", [0, -2, True, "8", 2.5, None])
+@pytest.mark.parametrize("value, key", [
+    *((value, key) for value in (0, -2, True, "8", 2.5, None)
+      for key in ("max_spar_depth", "max_spar_nodes")),
+    # above the depth bound, past which nested values overflow the stack
+    (spar.MAX_DEPTH_BOUND + 1, "max_spar_depth"),
+])
 def test_config_rejects_spar_budgets_that_are_not_ints_of_at_least_one(
         tmp_path, monkeypatch, capsys, weak_pack, key, value):
     _set_config(tmp_path, monkeypatch, json.dumps({key: value}))
@@ -839,8 +882,11 @@ def test_config_rejects_non_finite_entropy_threshold(
     _one_error_line(capsys, "entropy_threshold_bits")
 
 
-@pytest.mark.parametrize("flag", ["--max-depth", "--max-nodes"])
-@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("value, flag", [
+    *((value, flag) for value in ("0", "-1")
+      for flag in ("--max-depth", "--max-nodes")),
+    (str(spar.MAX_DEPTH_BOUND + 1), "--max-depth"),
+])
 def test_spar_subcommand_rejects_budgets_below_one(capsys, flag, value):
     assert cli.main(["spar", "a=1", flag, value]) == 1
     _one_error_line(capsys, flag)

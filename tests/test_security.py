@@ -424,19 +424,17 @@ def test_token_in_url_query_only():
 # transport
 
 def test_plain_redirect_uri_is_vulnerability():
-    view = classify.decode_trace(_trace([har_entry("https://shop.example/login")]))
-    msg = _request(redirect_uri="http://shop.example/cb")
-    findings = security.check_transport(view, [msg], "Google")
+    login = _login(_request(redirect_uri="http://shop.example/cb"))
+    findings = security.check_plain_redirect_uri(login, CFG)
     assert _rule_ids(findings) == ["tls.plain-redirect-uri"]
     assert findings[0].category == "vulnerability"
 
 
 def test_loopback_redirect_uri_is_exempt():
-    view = classify.decode_trace(_trace([har_entry("https://shop.example/login")]))
     for uri in ("http://127.0.0.1:8123/cb", "http://localhost/cb",
-                "http://[::1]/cb"):
-        request = _request(redirect_uri=uri)
-        assert security.check_transport(view, [request], "Google") == []
+                "http://[::1]/cb", "https://shop.example/cb"):
+        login = _login(_request(redirect_uri=uri))
+        assert security.check_plain_redirect_uri(login, CFG) == []
 
 
 def test_plain_request_entries_are_flagged():
@@ -446,7 +444,7 @@ def test_plain_request_entries_are_flagged():
                   started_at="2026-01-17T12:00:01Z"),
     ]
     findings = security.check_transport(classify.decode_trace(_trace(entries)),
-                                        [], "Google")
+                                        "Google")
     assert _rule_ids(findings) == ["tls.plain-request"]
     assert findings[0].evidence[0].entry_index == 1
 
@@ -456,19 +454,19 @@ def test_307_relay_of_token_bearing_redirect():
                       status=307,
                       location="https://shop.example/cb#code=abc!&state=s")
     findings = security.check_transport(classify.decode_trace(_trace([relay])),
-                                        [], "Google")
+                                        "Google")
     assert _rule_ids(findings) == ["redirect.307-authz-response"]
 
     benign = har_entry("https://accounts.google.com/o/oauth2/v2/auth",
                        status=307, location="https://shop.example/start")
     assert security.check_transport(classify.decode_trace(_trace([benign])),
-                                    [], "Google") == []
+                                    "Google") == []
 
     ordinary = har_entry("https://accounts.google.com/o/oauth2/v2/auth",
                          status=302,
                          location="https://shop.example/cb#code=abc!")
     assert security.check_transport(classify.decode_trace(_trace([ordinary])),
-                                    [], "Google") == []
+                                    "Google") == []
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +552,18 @@ _EVERY_GROUP_FIRES = LoginShape(
     response_type="token id_token", scope="email", state_kind="weak",
     pkce=False, delivery="fragment", id_token="hs256",
     include_access_token=True,
-    redirect_uri="https://shop.example/cb?next=https%3A%2F%2Fevil.example%2F")
+    redirect_uri="http://shop.example/cb?next=https%3A%2F%2Fevil.example%2F")
+
+
+def _every_group_fires_trace():
+    """A login on which every rule group fires.  synth delivers to an https
+    callback, so the delivery is moved to the plain-http redirect_uri's."""
+    entries = synth_login_entries(random.Random(1), "shop.example",
+                                  _EVERY_GROUP_FIRES)
+    delivery = entries[-1]["request"]
+    assert delivery["url"].startswith("https://shop.example/cb#")
+    delivery["url"] = "http" + delivery["url"][len("https"):]
+    return _trace(entries)
 
 
 @pytest.mark.parametrize("group", [name for name, _ in security.LOGIN_RULES])
@@ -562,7 +571,7 @@ def test_run_all_survives_a_crashing_rule(monkeypatch, group):
     def boom(login, cfg):
         raise RuntimeError("rule exploded")
 
-    trace = _login_trace(_EVERY_GROUP_FIRES)
+    trace = _every_group_fires_trace()
     (login,) = classify.find_logins(classify.decode_trace(trace))
     own = {name: {f.rule_id for f in rule(login, CFG)}
            for name, rule in security.LOGIN_RULES}

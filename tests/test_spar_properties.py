@@ -166,18 +166,16 @@ def test_decode_never_raises(value):
 # ---------------------------------------------------------------------------
 # the guarded decoder against a reference copy of the unguarded one
 
-def _reference_decode_node(value, depth, max_depth, budget):
+def _reference_decode_node(node, budget):
     """Every codec tried in order, each running its own rejection tests."""
-    node = spar.SparNode(raw=value, decoding=spar.LEAF, depth=depth)
-    if depth >= max_depth:
-        return node
+    if node.depth >= budget.max_depth:
+        return
     for attempt in (spar._try_jwt, spar._try_json, spar._try_form,
                     spar._try_url, spar._try_percent, spar._try_base64):
-        if attempt(node, value, max_depth, budget):
+        if attempt(node, node.raw, budget):
             break
     if not node.children:
         node.decoding = spar.LEAF
-    return node
 
 
 def _reference_json_child_text(value):
@@ -305,6 +303,22 @@ def test_guarded_decoder_equals_the_reference(value):
             assert spar.find_nested_urls(got) == [
                 (path, node.raw) for path, node in spar.walk(want)
                 if path and _reference_is_absolute_http_url(node.raw)]
+
+
+def test_reference_expander_runs_at_every_level():
+    # "a=" and a percent-encoded JSON object that holds a form: five nodes
+    value = "a=" + spar.encode_percent('{"k": "x=1&y=2"}')
+    depths = []
+
+    def recording(node, budget):
+        depths.append(node.depth)
+        _reference_decode_node(node, budget)
+
+    with mock.patch.object(spar, "_decode_node", recording):
+        tree = spar.decode(value)
+    assert spar.count_nodes(tree) == 5
+    assert sorted(depths) == [0, 1, 2, 3, 3]
+    assert tree.to_dict() == spar.decode(value).to_dict()
 
 
 @settings(max_examples=300, deadline=None)

@@ -180,6 +180,10 @@ def test_metadata_rejects_bad_run_index():
     doc["run_index"] = 3
     with pytest.raises(MalformedInput):
         parse_metadata(json.dumps(doc))
+    # bool is a subclass of int; true is no run index
+    doc["run_index"] = True
+    with pytest.raises(MalformedInput, match="not an integer"):
+        parse_metadata(json.dumps(doc))
     doc["run_index"] = 0
     with pytest.raises(MalformedInput, match=">= 1"):
         parse_metadata(json.dumps(doc))
