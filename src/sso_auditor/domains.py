@@ -85,13 +85,16 @@ def url_host(url: str) -> str:
 
 
 def origin_of(url: str) -> str:
-    """scheme://host[:port] of a URL, lowercased, default ports dropped.
+    """scheme://host[:port] of a URL, lowercased, default ports dropped, an
+    IPv6 host in brackets as in a browser's origin.
 
     Empty when the port is out of range.
     """
     parts = split_url(url)
     scheme = parts.scheme.lower()
     host = (parts.hostname or "").lower()
+    if ":" in host:
+        host = f"[{host}]"
     try:
         port = parts.port
     except ValueError:

@@ -451,6 +451,8 @@ def check_secret_leakage(view: DecodedTrace, requests: list[SsoMessage],
     idp_sites = {registrable_domain(url_host(trace.entries[m.entry_ref].request.url))
                  for m in requests if m.ref_kind == classify.REF_ENTRY}
     referer_evidence = []
+    # the path depends only on the value and the view's budgets
+    referer_paths: dict[str, spar.Path | None] = {}
     for index, entry in enumerate(trace.entries):
         referer = entry.request.header("referer")
         if not referer:
@@ -458,7 +460,9 @@ def check_secret_leakage(view: DecodedTrace, requests: list[SsoMessage],
         dest_site = registrable_domain(url_host(entry.request.url))
         if dest_site == client_site or dest_site in idp_sites:
             continue
-        path = _token_path(spar.decode, referer, view)
+        if referer not in referer_paths:
+            referer_paths[referer] = _token_path(spar.decode, referer, view)
+        path = referer_paths[referer]
         if path is not None:
             referer_evidence.append(Evidence(
                 entry_index=index, spar_path=f"referer:{spar.render_path(path)}",

@@ -26,10 +26,19 @@ whitespace; form pairs an "=" and no http(s) scheme; a nested URL that
 scheme; percent a "%"; base64 a length of at least 8 that is a multiple
 of 4.
 
-Stops are silent: depth and node budgets truncate the tree, and JSON nested
-too deeply to load stays a leaf; none of them raises.  The depth budget is
-at most ``MAX_DEPTH_BOUND``, so the recursion of a decode stays far from
-Python's limit.  A node is a leaf exactly when it has no children.
+Stops are silent: depth and node budgets truncate the tree, and JSON
+nested more than ``MAX_JSON_NESTING`` deep stays a leaf, tested before it is
+loaded so the tree never depends on the caller's stack depth; none of them
+raises.  The depth budget is at most ``MAX_DEPTH_BOUND``, so the recursion
+of a decode stays far from Python's limit.  A node is a leaf exactly when
+it has no children.
+
+Each value is parsed once: a JSON child that is a non-empty object or array
+(``raw`` is its compact dump) and a JWT header are filled in from the object
+already loaded, which within the bound is what loading their text gives.  A
+form is checked by one match of its pair grammar; a nested URL may hold no
+``str.isspace`` character, found by a ``\\s`` search (equal on every code
+point).
 
 Percent-decoding (form keys and values, and the percent codec) gives
 exactly what ``urllib.parse.unquote`` gives.  ASCII text is decoded by the
@@ -56,6 +65,8 @@ import binascii
 import codecs
 import json
 import re
+from functools import partial
+from itertools import accumulate
 from typing import Callable, Iterator
 from urllib.parse import SplitResult, unquote
 
@@ -76,15 +87,23 @@ DEFAULT_MAX_DEPTH = 8
 DEFAULT_MAX_NODES = 10_000
 # the largest depth budget: a level takes up to four stack frames
 MAX_DEPTH_BOUND = 64
+# JSON nested deeper than this stays a leaf, wherever the decode is called
+MAX_JSON_NESTING = 100
 
 Path = tuple[str, ...]
 
 _B64URL_SEGMENT = re.compile(r"[A-Za-z0-9_-]+={0,2}")
 _B64_STD = re.compile(r"[A-Za-z0-9+/]+={0,2}")
-# Keys a form pair may use.  Deliberately narrow: misreading a URL or a JWT
-# as a form creates false structure that a parameter lookup would report.
-_FORM_KEY = re.compile(r"[A-Za-z0-9_.%+~\[\]-]+")
+# "k=v" pairs joined by "&", with deliberately narrow keys: misreading a URL
+# or a JWT as a form creates false structure a parameter lookup would report.
+_FORM_PAIR = r"[A-Za-z0-9_.%+~\[\]-]+=[^&]*"
+_FORM = re.compile(rf"{_FORM_PAIR}(?:&{_FORM_PAIR})*")
 _ABS_URL = re.compile(r"https?://", re.IGNORECASE)
+_SPACE = re.compile(r"\s")  # what str.isspace tests, on every code point
+# an unterminated string runs to the end, so the scan stays linear
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+_NOT_BRACKET = re.compile(r"[^\[\]{}]+")
+_BRACKET_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
 class SparNode:
@@ -138,17 +157,11 @@ class _Budget:
     __slots__ = ("used", "limit", "max_depth", "hits", "path")
 
     def __init__(self, max_depth: int, limit: int, hits: SegmentIndex):
-        self.used = 0
+        self.used = 1  # the root
         self.limit = limit
         self.max_depth = max_depth
         self.hits = hits
-        self.path: Path = ()
-
-    def take(self) -> bool:
-        if self.used >= self.limit:
-            return False
-        self.used += 1
-        return True
+        self.path: list[str] = []
 
 
 def decode(value: str, max_depth: int = DEFAULT_MAX_DEPTH,
@@ -182,7 +195,6 @@ def _decode_root(expand: Callable[[SparNode, _Budget], None], value: str,
         raise ValueError(f"max_depth must be from 1 to {MAX_DEPTH_BOUND} "
                          "and max_nodes >= 1")
     budget = _Budget(max_depth, max_nodes, {} if hits is None else hits)
-    budget.take()  # root
     root = SparNode(value, LEAF, {}, 0)
     expand(root, budget)
     return root
@@ -209,7 +221,7 @@ def _decode_node(node: SparNode, budget: _Budget) -> None:
     first = value[0]
     if (first in "{[" or first.isspace()) and _try_json(node, value, budget):
         return
-    url = _ABS_URL.match(value)
+    url = first in "hH" and _ABS_URL.match(value)
     if not url and "=" in value and _try_form(node, value, budget):
         return
     if url and _try_url(node, value, budget):
@@ -232,16 +244,17 @@ def _add_child(node: SparNode, segment: str, value: str, budget: _Budget,
 
     An expander, ``(node, budget) -> None``, fills in a leaf that is
     already made, taken from the budget and recorded."""
-    if node.depth >= budget.max_depth or not budget.take():
+    if node.depth >= budget.max_depth or budget.used >= budget.limit:
         return False
+    budget.used += 1
     child = node.children[segment] = SparNode(value, LEAF, {}, node.depth + 1)
-    parent_path = budget.path
-    path = budget.path = parent_path + (segment,)
+    path = budget.path
+    path.append(segment)
     found = budget.hits.get(segment)
     if found is not None:
-        found.append((path, child))
+        found.append((tuple(path), child))
     (expand or _decode_node)(child, budget)
-    budget.path = parent_path
+    path.pop()
     return True
 
 
@@ -260,7 +273,7 @@ def _try_jwt(node: SparNode, value: str, budget: _Budget) -> bool:
     if signature_seg and not _B64URL_SEGMENT.fullmatch(signature_seg):
         return False
     header_text = _b64url_to_text(header_seg)
-    if header_text is None:
+    if header_text is None or _too_deep(header_text):
         return False
     try:
         header = json.loads(header_text)
@@ -270,7 +283,7 @@ def _try_jwt(node: SparNode, value: str, budget: _Budget) -> bool:
         return False
     payload_text = _b64url_to_text(payload_seg)
     node.decoding = JWT
-    _add_child(node, "header", header_text, budget)
+    _add_child(node, "header", header_text, budget, _parsed(header))
     # an undecodable payload stays opaque; the signature always does
     _add_child(node, "payload",
                payload_text if payload_text is not None else payload_seg,
@@ -282,7 +295,7 @@ def _try_jwt(node: SparNode, value: str, budget: _Budget) -> bool:
 
 def _try_json(node: SparNode, value: str, budget: _Budget) -> bool:
     stripped = value.strip()
-    if not stripped or stripped[0] not in "{[":
+    if not stripped or stripped[0] not in "{[" or _too_deep(stripped):
         return False
     try:
         doc = json.loads(stripped)
@@ -290,12 +303,40 @@ def _try_json(node: SparNode, value: str, budget: _Budget) -> bool:
         return False
     if not isinstance(doc, (dict, list)) or not doc:
         return False
+    _json_node(doc, node, budget)
+    return bool(node.children)
+
+
+def _json_node(doc: dict | list, node: SparNode, budget: _Budget) -> None:
+    """Fill in ``node`` from ``doc``, the non-empty object or array its raw
+    value loads to, as ``_decode_node`` would: a container child is filled
+    in from its part of ``doc``, not loaded again from its text."""
     node.decoding = JSON_DOC
     items = doc.items() if isinstance(doc, dict) else enumerate(doc)
     for key, child in items:
-        if not _add_child(node, str(key), _json_child_text(child), budget):
+        container = isinstance(child, (dict, list)) and child
+        if not _add_child(node, str(key), _json_child_text(child), budget,
+                          _parsed(child) if container else None):
             break
-    return bool(node.children)
+    if not node.children:
+        node.decoding = LEAF
+
+
+def _parsed(doc: dict | list) -> Callable[[SparNode, _Budget], None]:
+    """The expander of a node whose raw value loads to ``doc``, a non-empty
+    object or array within the nesting bound."""
+    return partial(_json_node, doc)
+
+
+def _too_deep(text: str) -> bool:
+    """True when ``text`` nests JSON brackets, outside strings, more than
+    ``MAX_JSON_NESTING`` deep; the strings are scanned for only when it
+    holds more opening brackets than that."""
+    if text.count("[") + text.count("{") <= MAX_JSON_NESTING:
+        return False
+    brackets = _NOT_BRACKET.sub("", _JSON_STRING.sub("", text))
+    return max(accumulate(map(_BRACKET_STEP.__getitem__, brackets)),
+               default=0) > MAX_JSON_NESTING
 
 
 def _json_child_text(value: object) -> str:
@@ -315,16 +356,10 @@ def _json_child_text(value: object) -> str:
 
 
 def _try_form(node: SparNode, value: str, budget: _Budget) -> bool:
-    if "=" not in value or _ABS_URL.match(value):
+    if "=" not in value or _ABS_URL.match(value) or not _FORM.fullmatch(value):
         return False
-    pairs = []
-    for piece in value.split("&"):
-        key, sep, val = piece.partition("=")
-        if not sep or not key or not _FORM_KEY.fullmatch(key):
-            return False
-        pairs.append((key, val))
     # a lone "xxxx=" or "xxxx==" is far more likely base64 padding than a form
-    if len(pairs) == 1 and set(pairs[0][1]) <= {"="}:
+    if "&" not in value and "=" not in value.rstrip("="):
         return False
     node.decoding = WWW_FORM
     _attach_form_children(node, value, budget)
@@ -450,7 +485,7 @@ def _try_base64(node: SparNode, value: str, budget: _Budget) -> bool:
 
 def _parses_as_json_container(text: str) -> bool:
     stripped = text.strip()
-    if not stripped or stripped[0] not in "{[":
+    if not stripped or stripped[0] not in "{[" or _too_deep(stripped):
         return False
     try:
         return isinstance(json.loads(stripped), (dict, list))
@@ -460,7 +495,7 @@ def _parses_as_json_container(text: str) -> bool:
 
 def _http_url_parts(value: str) -> SplitResult | None:
     """The parts of an absolute http(s) URL; None for any other value."""
-    if not _ABS_URL.match(value) or any(c.isspace() for c in value):
+    if not _ABS_URL.match(value) or _SPACE.search(value):
         return None
     parts = split_url(value)  # empty for e.g. "https://[abc/x"
     if parts.scheme.lower() in ("http", "https") and parts.netloc:

@@ -171,6 +171,25 @@ def test_match_response_via_post_message():
     assert response.channel == classify.CHANNEL_POST_MESSAGE
 
 
+def test_match_response_via_post_message_to_an_ipv6_loopback():
+    # a native app's RFC 8252 loopback redirect; its origin keeps the brackets
+    shape = LoginShape(delivery="none", redirect_uri="http://[::1]:8080/cb")
+    event = {
+        "kind": "post-message",
+        "at": "2026-01-17T12:00:03Z",
+        "source_origin": "https://accounts.google.com",
+        "target_origin": "http://[::1]:8080",
+        "payload": spar.encode_json({"code": "zz!zz!zz!"}),
+    }
+    trace = _trace(synth_login_entries(random.Random(1), "shop.example",
+                                       shape), [event])
+    view = classify.decode_trace(trace)
+    (request,) = classify.detect_login_requests(view)
+    response = classify.match_login_response(view, request)
+    assert response.ref_kind == classify.REF_IBC
+    assert response.params.code == "zz!zz!zz!"
+
+
 def _delivery_trace(redirect_uri, delivered_to):
     shape = LoginShape(delivery="none", redirect_uri=redirect_uri)
     entries = synth_login_entries(random.Random(1), "shop.example", shape)

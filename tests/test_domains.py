@@ -58,3 +58,14 @@ def test_registrable_domain_keeps_ip_literals():
        | st.text(alphabet="0123456789.١٢ ", max_size=16))
 def test_registrable_domain_equals_the_reference_on_drawn_hosts(host):
     assert registrable_domain(host) == _reference_registrable_domain(host)
+
+
+@pytest.mark.parametrize("url, origin", [
+    ("https://[::1]:8443/cb", "https://[::1]:8443"),
+    ("http://[::1]:80/cb", "http://[::1]"),
+    ("https://[FE80::1]/x", "https://[fe80::1]"),
+    ("https://Shop.Example:443/cb", "https://shop.example"),
+    ("http://127.0.0.1:8080/cb", "http://127.0.0.1:8080"),
+])
+def test_origin_of_writes_an_ipv6_host_in_brackets(url, origin):
+    assert domains.origin_of(url) == origin

@@ -403,6 +403,18 @@ def test_referer_leak_between_ipv4_shorthand_hosts():
     assert _rule_ids(findings) == ["secret.referer-leak"]
 
 
+def test_each_distinct_referer_is_decoded_once(decoded):
+    referer = "https://shop.example/cb?code=abc!"
+    entries = [har_entry(f"https://tracker.example/p{n}.gif",
+                         request_headers=[("Referer", referer)])
+               for n in range(3)]
+    view = classify.decode_trace(_trace(entries))
+    findings = security.check_secret_leakage(view, [], "Google")
+    assert [len(f.evidence) for f in findings
+            if f.rule_id == "secret.referer-leak"] == [3]
+    assert decoded[referer] == 1
+
+
 def test_token_in_url_query_only():
     entries = [
         har_entry("https://shop.example/cb?code=abc!",

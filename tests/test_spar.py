@@ -244,6 +244,59 @@ def test_decode_never_raises_near_the_json_nesting_limit():
             assert spar.decode(encoded).raw == encoded
 
 
+def _from_deeper(frames, fn):
+    """``fn()``, called ``frames`` Python frames below the caller."""
+    return fn() if frames == 0 else _from_deeper(frames - 1, fn)
+
+
+def _nested(levels):
+    """JSON nested ``levels`` deep, objects and arrays in turn, around a
+    string whose brackets, after an escaped quote, do not nest."""
+    value = '"]\\"[{"'
+    for level in range(levels):
+        value = f"[{value}]" if level % 2 else f'{{"k":{value}}}'
+    return value
+
+
+def _jwt_with_header(header):
+    payload = spar.encode_base64url('{"sub":"1"}').rstrip("=")
+    return f"{spar.encode_base64url(header).rstrip('=')}.{payload}.c2ln"
+
+
+@pytest.mark.parametrize("max_depth", [spar.DEFAULT_MAX_DEPTH,
+                                       spar.MAX_DEPTH_BOUND])
+def test_json_nesting_bound_holds_at_any_stack_depth(max_depth):
+    bound = spar.MAX_JSON_NESTING
+    cases = [
+        (_nested(bound), spar.JSON_DOC),
+        (_nested(bound + 1), spar.LEAF),
+        (_jwt_with_header(f'{{"alg":"HS256","x":{_nested(bound - 1)}}}'),
+         spar.JWT),
+        (_jwt_with_header(f'{{"alg":"HS256","x":{_nested(bound)}}}'),
+         spar.LEAF),
+    ]
+    for value, decoding in cases:
+        top = spar.decode(value, max_depth)
+        assert top.decoding == decoding
+        assert top.is_leaf == (decoding == spar.LEAF)
+        assert _from_deeper(300, lambda: spar.decode(value, max_depth)) == top
+
+
+def test_brackets_inside_json_strings_do_not_nest():
+    value = json.dumps({"a": "[" * 300, "b": ["{" * 300]})
+    tree = spar.decode(value)
+    assert tree.decoding == spar.JSON_DOC
+    assert tree.children["a"].raw == "[" * 300
+
+
+def test_unterminated_json_strings_are_scanned_in_linear_time():
+    # each escaped quote could start a string that never ends
+    value = "[" * (spar.MAX_JSON_NESTING + 1) + '"' + '\\"' * 50_000
+    started = time.perf_counter()
+    assert spar.decode(value).is_leaf
+    assert time.perf_counter() - started < 2.0
+
+
 def test_deep_jwt_parts_are_malformed_not_raising():
     deep = "[" * 100_000 + "]" * 100_000
     token = spar.encode_jwt({"alg": "RS256"}, {"sub": "1"}).split(".")

@@ -8,6 +8,7 @@ encoding (without one, a value such as "enp6enp6" is valid base64 of
 """
 
 import json
+import re
 import string
 from collections import Counter
 from contextlib import ExitStack
@@ -184,11 +185,38 @@ def _reference_json_child_text(value):
     return json.dumps(value, separators=(",", ":"), ensure_ascii=False)
 
 
-def _reference_is_absolute_http_url(value):
-    if not spar._ABS_URL.match(value) or any(c.isspace() for c in value):
+_REFERENCE_FORM_KEY = re.compile(r"[A-Za-z0-9_.%+~\[\]-]+")
+
+
+def _reference_try_form(node, value, budget):
+    """The form codec splitting each piece on "&" and "=" to validate it."""
+    if "=" not in value or spar._ABS_URL.match(value):
         return False
+    pairs = []
+    for piece in value.split("&"):
+        key, sep, val = piece.partition("=")
+        if not sep or not key or not _REFERENCE_FORM_KEY.fullmatch(key):
+            return False
+        pairs.append((key, val))
+    if len(pairs) == 1 and set(pairs[0][1]) <= {"="}:
+        return False
+    node.decoding = spar.WWW_FORM
+    spar._attach_form_children(node, value, budget)
+    return bool(node.children)
+
+
+def _reference_http_url_parts(value):
+    """The URL parts, testing each character with ``str.isspace``."""
+    if not spar._ABS_URL.match(value) or any(c.isspace() for c in value):
+        return None
     parts = split_url(value)
-    return parts.scheme.lower() in ("http", "https") and bool(parts.netloc)
+    if parts.scheme.lower() in ("http", "https") and parts.netloc:
+        return parts
+    return None
+
+
+def _reference_is_absolute_http_url(value):
+    return _reference_http_url_parts(value) is not None
 
 
 def index(tree):
@@ -222,16 +250,20 @@ def _index_of(tree, names):
 
 def _with_reference(fn, *args):
     """``fn(*args)`` with the reference attempt loop, ``parse_qsl``,
-    ``unquote`` and ``json.dumps`` in place of the decoder's own."""
+    ``unquote``, ``json.dumps``, the split form check and the per-character
+    whitespace test in place of the decoder's own, and with every JSON
+    child and JWT header decoded again from its text."""
     with ExitStack() as stack:
-        stack.enter_context(mock.patch.object(
-            spar, "_decode_node", _reference_decode_node))
-        stack.enter_context(mock.patch.object(
-            spar, "_form_pairs",
-            lambda text: parse_qsl(text, keep_blank_values=True)))
-        stack.enter_context(mock.patch.object(spar, "_unquote", unquote))
-        stack.enter_context(mock.patch.object(
-            spar, "_json_child_text", _reference_json_child_text))
+        for name, reference in (
+                ("_decode_node", _reference_decode_node),
+                ("_form_pairs",
+                 lambda text: parse_qsl(text, keep_blank_values=True)),
+                ("_unquote", unquote),
+                ("_json_child_text", _reference_json_child_text),
+                ("_try_form", _reference_try_form),
+                ("_http_url_parts", _reference_http_url_parts),
+                ("_parsed", lambda doc: None)):
+            stack.enter_context(mock.patch.object(spar, name, reference))
         return fn(*args)
 
 
@@ -289,6 +321,14 @@ hostile_values = st.recursive(
 @example("  {\"a\": \"\\u0063=1\"}")
 @example("eyJhbGciOiJIUzI1NiJ9.e30.c2ln")
 @example("a=1&a=2&b=%3D%26&+=+&&=x")
+@example("abcd==")
+@example("a=b==")
+@example("a=b&")
+@example("https://x.example/p?q=a\x1cb")
+@example("HTTPS://x.example/p?q=1")
+@example("a=https://x.example/\u3000?q=1")
+@example('{"o": {"n": NaN, "z": -0.0, "d": 1, "d": {"s": "\\ud800=1"}}}')
+@example('[{"k": [NaN, -0.0, {"a": "x", "a": "\\ud800"}]}]')
 def test_guarded_decoder_equals_the_reference(value):
     for max_depth, max_nodes in BUDGETS:
         for decoder in (spar.decode, spar.decode_query_string):
