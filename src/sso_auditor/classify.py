@@ -35,8 +35,8 @@ other item can hold one.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, NamedTuple
+from urllib.parse import SplitResult
 
 from . import spar
 from .domains import origin_of, split_url, url_host
@@ -116,21 +116,24 @@ class IdpRegistry(NamedTuple):
     token: dict[str, list[tuple[str, str]]]
     origins: dict[str, str]
 
-    def match_authorization(self, url: str) -> str | None:
-        return _match(self.authorization, url)
+    def match_authorization(self, parts: SplitResult, host: str,
+                            ) -> str | None:
+        """The IdP whose authorization endpoint a URL, split into ``parts``
+        with the lowercased ``host``, is at."""
+        return _match(self.authorization, parts, host)
 
-    def match_token(self, url: str) -> str | None:
-        return _match(self.token, url)
+    def match_token(self, parts: SplitResult, host: str) -> str | None:
+        return _match(self.token, parts, host)
 
     def match_origin(self, origin: str) -> str | None:
         host = url_host(origin) if "://" in origin else origin.lower()
         return self.origins.get(host) if host else None
 
 
-def _match(patterns: dict[str, list[tuple[str, str]]], url: str) -> str | None:
-    parts = split_url(url)
+def _match(patterns: dict[str, list[tuple[str, str]]], parts: SplitResult,
+           host: str) -> str | None:
     path = parts.path or "/"
-    for prefix, name in patterns.get((parts.hostname or "").lower(), ()):
+    for prefix, name in patterns.get(host, ()):
         if path.startswith(prefix):
             return name
     return None
@@ -256,7 +259,8 @@ def decode_trace(trace: Trace, max_depth: int = spar.DEFAULT_MAX_DEPTH,
         entries=tuple(
             _decoded_item(_entry_surfaces(entry), max_depth, max_nodes)
             if idps is None
-            or registry.match_authorization(entry.request.url) in idps
+            or registry.match_authorization(entry.request.parts,
+                                            entry.request.host) in idps
             else _EMPTY_ITEM
             for entry in trace.entries),
         ibc_events=tuple(
@@ -278,7 +282,7 @@ Surface = tuple[str, Callable[..., spar.SparNode], str]
 def _entry_surfaces(entry: HttpEntry) -> list[Surface]:
     """Parameter surfaces of a request: query, fragment, body, each with the
     decoder it is read with."""
-    parts = split_url(entry.request.url)
+    parts = entry.request.parts
     mime = _mime(entry.request.body_mime)
     body = entry.request.body if mime in _PARSED_BODY_MIMES else None
     # (channel, value, decode as a query string even without codec evidence)
@@ -332,7 +336,8 @@ def detect_login_requests(view: DecodedTrace,
             if not (params.client_id and params.redirect_uri):
                 continue
             if ref_kind == REF_ENTRY:
-                idp = registry.match_authorization(trace.entries[index].request.url)
+                request = trace.entries[index].request
+                idp = registry.match_authorization(request.parts, request.host)
             else:
                 idp = registry.match_origin(trace.ibc_events[index].target_origin)
             if idp is None and params.response_type is None:
@@ -359,10 +364,10 @@ def _login_key(msg: SsoMessage) -> tuple[str, str]:
     return msg.idp, f"{(parts.hostname or '').lower()}{parts.path}"
 
 
-def _url_base(url: str) -> str | None:
-    """scheme://netloc/path, the first two lowercased and an empty path read
-    as "/"; None for a URL without a scheme or one that cannot be split."""
-    parts = split_url(url)
+def _url_base(parts: SplitResult) -> str | None:
+    """scheme://netloc/path of a split URL, the first two lowercased and an
+    empty path read as "/"; None without a scheme, as for a URL that cannot
+    be split."""
     if not parts.scheme:
         return None
     return f"{parts.scheme.lower()}://{parts.netloc.lower()}{parts.path or '/'}"
@@ -381,7 +386,7 @@ def match_login_response(view: DecodedTrace, request: SsoMessage,
     if not redirect_uri:
         return None
     trace = view.trace
-    base = _url_base(redirect_uri)
+    base = _url_base(split_url(redirect_uri))
     target_origin = origin_of(redirect_uri)
     req_time = _entry_time(trace, request)
 
@@ -390,7 +395,7 @@ def match_login_response(view: DecodedTrace, request: SsoMessage,
     for index in range(start_index, len(trace.entries)):
         entry = trace.entries[index]
         if entry.started_at < req_time or base is None \
-                or _url_base(entry.request.url) != base \
+                or _url_base(entry.request.parts) != base \
                 or view.entries[index].token_channel is None:
             continue
         candidates.append((entry.started_at, 0, index, REF_ENTRY))
@@ -507,19 +512,18 @@ def find_logins(view: DecodedTrace, registry: IdpRegistry | None = None,
 
 def _token_exchanges(trace: Trace, registry: IdpRegistry,
                      ) -> list[tuple[str, dict]]:
-    """(IdP, JSON object) of each recorded token endpoint response."""
+    """(IdP, JSON object) of each recorded token endpoint response, loaded
+    under SPAR's nesting bound, so the answer does not depend on the
+    caller's stack depth."""
     exchanges = []
     for entry in trace.entries:
-        idp = registry.match_token(entry.request.url)
+        idp = registry.match_token(entry.request.parts, entry.request.host)
         body = entry.response.body
         if idp is None or not body \
                 or _mime(entry.response.body_mime) not in ("application/json",
                                                            "text/plain", ""):
             continue
-        try:
-            doc = json.loads(body)
-        except (ValueError, RecursionError):
-            continue
+        doc = spar._load_container(body)
         if isinstance(doc, dict):
             exchanges.append((idp, doc))
     return exchanges

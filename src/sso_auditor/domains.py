@@ -73,6 +73,10 @@ def split_url(url: str) -> SplitResult:
 
     Recorded traffic carries hostile URLs such as ``https://[::1/cb``;
     callers treat the empty result as "not a URL" instead of crashing.
+    Each request URL is split here once, when its trace is parsed
+    (``HttpRequest.parts``); the other callers split redirect_uris, origins,
+    307 ``Location`` targets and the nested URLs with a bracketed or
+    non-ASCII host, which SPAR does not split itself.
     """
     try:
         return urlsplit(url)

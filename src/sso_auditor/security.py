@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 from . import classify, spar
 from .classify import DecodedTrace, IdpRegistry, Login, SsoMessage
-from .domains import is_loopback_host, registrable_domain, split_url, url_host
+from .domains import is_loopback_host, registrable_domain, split_url
 from .exceptions import MalformedJwt, ProfileMismatch
 from .trace import PROFILE_LOGIN_RUN, Trace
 
@@ -448,7 +448,7 @@ def check_secret_leakage(view: DecodedTrace, requests: list[SsoMessage],
         ))
 
     client_site = registrable_domain(trace.metadata.domain)
-    idp_sites = {registrable_domain(url_host(trace.entries[m.entry_ref].request.url))
+    idp_sites = {registrable_domain(trace.entries[m.entry_ref].request.host)
                  for m in requests if m.ref_kind == classify.REF_ENTRY}
     referer_evidence = []
     # the path depends only on the value and the view's budgets
@@ -457,7 +457,7 @@ def check_secret_leakage(view: DecodedTrace, requests: list[SsoMessage],
         referer = entry.request.header("referer")
         if not referer:
             continue
-        dest_site = registrable_domain(url_host(entry.request.url))
+        dest_site = registrable_domain(entry.request.host)
         if dest_site == client_site or dest_site in idp_sites:
             continue
         if referer not in referer_paths:
@@ -513,7 +513,7 @@ def _first_token_path(hits: spar.SegmentIndex) -> spar.Path | None:
 def check_transport(view: DecodedTrace, idp: str) -> list[Finding]:
     findings = []
     for index, entry in enumerate(view.trace.entries):
-        if split_url(entry.request.url).scheme.lower() == "http":
+        if entry.request.parts.scheme == "http":
             findings.append(Finding(
                 rule_id=RULE_PLAIN_REQUEST, idp=idp,
                 evidence=(Evidence(entry_index=index, spar_path="url",

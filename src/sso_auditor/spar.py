@@ -36,9 +36,11 @@ it has no children.
 Each value is parsed once: a JSON child that is a non-empty object or array
 (``raw`` is its compact dump) and a JWT header are filled in from the object
 already loaded, which within the bound is what loading their text gives.  A
-form is checked by one match of its pair grammar; a nested URL may hold no
-``str.isspace`` character, found by a ``\\s`` search (equal on every code
-point).
+form is checked by one match of its pair grammar.  A nested URL may hold no
+``str.isspace`` character (``\\s`` tests exactly that, on every code
+point); one match both checks it and splits it into the parts ``urlsplit``
+gives, and only a host with brackets or non-ASCII characters goes to
+``urlsplit`` itself.
 
 Percent-decoding (form keys and values, and the percent codec) gives
 exactly what ``urllib.parse.unquote`` gives.  ASCII text is decoded by the
@@ -99,10 +101,19 @@ _B64_STD = re.compile(r"[A-Za-z0-9+/]+={0,2}")
 _FORM_PAIR = r"[A-Za-z0-9_.%+~\[\]-]+=[^&]*"
 _FORM = re.compile(rf"{_FORM_PAIR}(?:&{_FORM_PAIR})*")
 _ABS_URL = re.compile(r"https?://", re.IGNORECASE)
-_SPACE = re.compile(r"\s")  # what str.isspace tests, on every code point
+# an absolute http(s) URL split as urlsplit splits it: the host runs to the
+# first "/", "?" or "#", the fragment from the first "#", the query from the
+# first "?" before it.  No part holds whitespace, which \s tests exactly as
+# str.isspace does, on every code point.
+_HTTP_URL = re.compile(
+    r"((?i:https?))://([^/?#\s]*)([^?#\s]*)(?:\?([^#\s]*))?(?:#(\S*))?")
 # an unterminated string runs to the end, so the scan stays linear
 _JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
 _NOT_BRACKET = re.compile(r"[^\[\]{}]+")
+# json.loads is these two around the scanner: skip JSON whitespace, scan one
+# value, and allow only JSON whitespace after it
+_JSON_SCAN = json.JSONDecoder().scan_once
+_JSON_SPACE = json.decoder.WHITESPACE.match
 _BRACKET_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
@@ -273,12 +284,7 @@ def _try_jwt(node: SparNode, value: str, budget: _Budget) -> bool:
     if signature_seg and not _B64URL_SEGMENT.fullmatch(signature_seg):
         return False
     header_text = _b64url_to_text(header_seg)
-    if header_text is None or _too_deep(header_text):
-        return False
-    try:
-        header = json.loads(header_text)
-    except (ValueError, RecursionError):
-        return False
+    header = None if header_text is None else _load_container(header_text)
     if not isinstance(header, dict) or "alg" not in header:
         return False
     payload_text = _b64url_to_text(payload_seg)
@@ -295,13 +301,8 @@ def _try_jwt(node: SparNode, value: str, budget: _Budget) -> bool:
 
 def _try_json(node: SparNode, value: str, budget: _Budget) -> bool:
     stripped = value.strip()
-    if not stripped or stripped[0] not in "{[" or _too_deep(stripped):
-        return False
-    try:
-        doc = json.loads(stripped)
-    except (ValueError, RecursionError):
-        return False
-    if not isinstance(doc, (dict, list)) or not doc:
+    doc = _load_container(stripped) if stripped[:1] in ("{", "[") else None
+    if not doc:
         return False
     _json_node(doc, node, budget)
     return bool(node.children)
@@ -326,6 +327,23 @@ def _parsed(doc: dict | list) -> Callable[[SparNode, _Budget], None]:
     """The expander of a node whose raw value loads to ``doc``, a non-empty
     object or array within the nesting bound."""
     return partial(_json_node, doc)
+
+
+def _load_container(text: str) -> dict | list | None:
+    """The object or array ``json.loads(text)`` gives; None when it gives
+    anything else or raises, and when the JSON nests more than
+    ``MAX_JSON_NESTING`` deep.  The decoder's scanner is called directly,
+    without ``json.loads``'s per-call wrapping."""
+    if _too_deep(text):
+        return None
+    try:
+        doc, end = _JSON_SCAN(text, _JSON_SPACE(text, 0).end())
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if _JSON_SPACE(text, end).end() != len(text) \
+            or not isinstance(doc, (dict, list)):
+        return None
+    return doc
 
 
 def _too_deep(text: str) -> bool:
@@ -419,7 +437,7 @@ def _try_url(node: SparNode, value: str, budget: _Budget) -> bool:
     if parts is None:
         return False
     node.decoding = NESTED_URL
-    _add_child(node, "scheme", parts.scheme.lower(), budget)
+    _add_child(node, "scheme", parts.scheme, budget)
     _add_child(node, "host", parts.netloc, budget)
     if parts.path:
         _add_child(node, "path", parts.path, budget)
@@ -485,22 +503,24 @@ def _try_base64(node: SparNode, value: str, budget: _Budget) -> bool:
 
 def _parses_as_json_container(text: str) -> bool:
     stripped = text.strip()
-    if not stripped or stripped[0] not in "{[" or _too_deep(stripped):
-        return False
-    try:
-        return isinstance(json.loads(stripped), (dict, list))
-    except (ValueError, RecursionError):
-        return False
+    return stripped[:1] in ("{", "[") and _load_container(stripped) is not None
 
 
 def _http_url_parts(value: str) -> SplitResult | None:
-    """The parts of an absolute http(s) URL; None for any other value."""
-    if not _ABS_URL.match(value) or _SPACE.search(value):
+    """The parts of an absolute http(s) URL, as ``urlsplit`` gives them;
+    None for any other value.
+
+    A host with brackets or non-ASCII characters, which ``urlsplit``
+    checks further, is split by ``split_url``; the rest by one match."""
+    match = _HTTP_URL.fullmatch(value)
+    if match is None:
         return None
+    scheme, netloc, path, query, fragment = match.groups()
+    if netloc.isascii() and "[" not in netloc and "]" not in netloc:
+        return SplitResult(scheme.lower(), netloc, path, query or "",
+                           fragment or "") if netloc else None
     parts = split_url(value)  # empty for e.g. "https://[abc/x"
-    if parts.scheme.lower() in ("http", "https") and parts.netloc:
-        return parts
-    return None
+    return parts if parts.netloc else None
 
 
 def _b64url_to_text(segment: str) -> str | None:
@@ -562,6 +582,9 @@ def jwt_parts(token: str) -> tuple[dict, dict, str]:
     payload_text = _b64url_to_text(segments[1])
     if header_text is None or payload_text is None:
         raise MalformedJwt("header or payload is not base64url text")
+    if _too_deep(header_text) or _too_deep(payload_text):
+        raise MalformedJwt("header or payload nests JSON more than "
+                           f"{MAX_JSON_NESTING} deep")
     try:
         header = json.loads(header_text)
         payload = json.loads(payload_text)

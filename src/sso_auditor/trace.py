@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 from datetime import datetime, timezone
 from typing import NamedTuple
-from urllib.parse import urljoin
+from urllib.parse import SplitResult, urljoin
 
-from .domains import split_url
+from .domains import origin_of, split_url
 from .exceptions import EntryError, MalformedInput, MissingMetadataField
 
 PROFILE_LOGIN_RUN = "login-run"
@@ -47,7 +47,13 @@ class TraceMetadata(NamedTuple):
 
 
 class HttpRequest(NamedTuple):
+    """``parts`` is ``url`` split, once, at parse time, and ``host`` its
+    lowercased host name; every reader of the request URL takes them from
+    here instead of splitting ``url`` again."""
+
     url: str
+    parts: SplitResult
+    host: str
     headers: tuple[tuple[str, str], ...] = ()
     body: str | None = None
     body_mime: str | None = None
@@ -71,7 +77,9 @@ class HttpEntry(NamedTuple):
 
 
 class IbcEvent(NamedTuple):
-    """``kind`` is one of ``IBC_KINDS``, checked by ``_parse_ibc_list``."""
+    """``kind`` is one of ``IBC_KINDS``, checked by ``_parse_ibc_list``,
+    which also writes both origins as ``domains.origin_of`` does
+    (``target_origin`` may be ``"*"``)."""
 
     kind: str
     source_origin: str
@@ -199,6 +207,8 @@ def _parse_entry(index: int, raw: object) -> HttpEntry:
     return HttpEntry(
         request=HttpRequest(
             url=url,
+            parts=parts,
+            host=(parts.hostname or "").lower(),
             headers=req_headers,
             body=body,
             body_mime=body_mime,
@@ -310,11 +320,9 @@ def _parse_ibc_list(raw: object) -> list[IbcEvent]:
             if key not in item:
                 raise MalformedInput(f"ibc event lacks {key}")
         target = str(item["target_origin"])
-        if target != "*" and not _is_origin(target):
-            raise MalformedInput(f"bad target_origin: {target!r}")
-        source = str(item["source_origin"])
-        if not _is_origin(source):
-            raise MalformedInput(f"bad source_origin: {source!r}")
+        if target != "*":
+            target = _origin(target, "target_origin")
+        source = _origin(str(item["source_origin"]), "source_origin")
         kind, payload = str(item["kind"]), item["payload"]
         if not isinstance(payload, str):
             payload = json.dumps(payload, separators=(",", ":"),
@@ -328,10 +336,17 @@ def _parse_ibc_list(raw: object) -> list[IbcEvent]:
     return events
 
 
-def _is_origin(value: str) -> bool:
+def _origin(value: str, key: str) -> str:
+    """The http(s) origin ``value`` as ``origin_of`` writes it, so that
+    spellings of one origin compare equal; MalformedInput naming ``key``
+    for anything but scheme://host[:port], or a port out of range."""
     parts = split_url(value)
-    return parts.scheme in ("http", "https") and bool(parts.netloc) \
-        and not parts.path and not parts.query and not parts.fragment
+    origin = (parts.scheme in ("http", "https") and parts.netloc
+              and not parts.path and not parts.query and not parts.fragment
+              and origin_of(value))
+    if not origin:
+        raise MalformedInput(f"bad {key}: {value!r}")
+    return origin
 
 
 def parse_trace_bundle(har: bytes | str, metadata: bytes | str,

@@ -15,6 +15,11 @@ def fixture_pack(tmp_path_factory):
     return root, manifest
 
 
+def from_deeper(frames, fn):
+    """``fn()``, called ``frames`` Python frames below the caller."""
+    return fn() if frames == 0 else from_deeper(frames - 1, fn)
+
+
 def load_bundle(bundle_dir):
     ibc_path = bundle_dir / "ibc.json"
     return parse_trace_bundle(

@@ -16,6 +16,8 @@ from sso_auditor.synth import (
 )
 from sso_auditor.trace import parse_trace_bundle
 
+from conftest import from_deeper
+
 
 def _trace(entries, ibc=None, domain="shop.example", **meta_kwargs):
     har = json.dumps(build_har(entries, ibc)).encode("utf-8")
@@ -190,6 +192,28 @@ def test_match_response_via_post_message_to_an_ipv6_loopback():
     assert response.params.code == "zz!zz!zz!"
 
 
+@pytest.mark.parametrize("target_origin", [
+    "https://shop.example:443", "https://Shop.Example", "HTTPS://shop.example",
+])
+def test_match_response_via_post_message_to_an_equivalent_origin(
+        target_origin):
+    # each spelling names the origin of https://shop.example/cb
+    event = {
+        "kind": "post-message",
+        "at": "2026-01-17T12:00:03Z",
+        "source_origin": "HTTPS://Accounts.Google.com:443",
+        "target_origin": target_origin,
+        "payload": spar.encode_json({"code": "zz!zz!zz!"}),
+    }
+    trace = _trace(synth_login_entries(random.Random(1), "shop.example",
+                                       LoginShape(delivery="none")), [event])
+    view = classify.decode_trace(trace)
+    (request,) = classify.detect_login_requests(view)
+    response = classify.match_login_response(view, request)
+    assert response.ref_kind == classify.REF_IBC
+    assert response.params.code == "zz!zz!zz!"
+
+
 def _delivery_trace(redirect_uri, delivered_to):
     shape = LoginShape(delivery="none", redirect_uri=redirect_uri)
     entries = synth_login_entries(random.Random(1), "shop.example", shape)
@@ -259,6 +283,23 @@ def test_find_logins_on_a_two_run_unit():
         classify.decode_trace(_trace(entries + [facebook, google])))
     assert login.request2 is None
     assert login.token_exchange_visible
+
+
+def test_token_exchange_nesting_bound_holds_at_any_stack_depth():
+    # 900 levels load at the top of the stack but not 150 frames deeper
+    entries = synth_login_entries(random.Random(1), "shop.example",
+                                  LoginShape())
+    bound = spar.MAX_JSON_NESTING
+    for levels, visible in ((bound - 1, True), (bound, False), (900, False)):
+        body = '{"code":"c-1","x":' + "[" * levels + "]" * levels + "}"
+        view = classify.decode_trace(_trace(entries + [har_entry(
+            "https://oauth2.googleapis.com/token",
+            started_at="2026-01-17T12:00:05Z", body_text=body,
+            body_mime="application/json")]))
+        (top,) = classify.find_logins(view)
+        (deeper,) = from_deeper(150, lambda: classify.find_logins(view))
+        assert top.token_exchange_visible == deeper.token_exchange_visible \
+            == visible
 
 
 # run 2 is decoded only where a partner can be; these cover each branch
@@ -505,10 +546,10 @@ def test_load_registry_from_json():
             "token_patterns": ["login.acme.example/token"],
         }],
     }))
-    assert registry.match_authorization(
-        "https://login.acme.example/authorize?x=1") == "Acme"
-    assert registry.match_authorization("https://other.example/") is None
-    assert registry.match_token("https://login.acme.example/token") == "Acme"
+    assert registry.match_authorization(*_at(
+        "https://login.acme.example/authorize?x=1")) == "Acme"
+    assert registry.match_authorization(*_at("https://other.example/")) is None
+    assert registry.match_token(*_at("https://login.acme.example/token")) == "Acme"
 
 
 @pytest.mark.parametrize("patterns", [5, [5], "accounts.google.com", None,
@@ -524,12 +565,12 @@ def test_load_registry_requires_lists_of_strings(key, patterns):
 
 def test_default_registry_patterns():
     registry = classify.default_registry()
-    assert registry.match_authorization(
-        "https://accounts.google.com/o/oauth2/v2/auth") == "Google"
-    assert registry.match_authorization(
-        "https://www.facebook.com/v17.0/dialog/oauth") == "Facebook"
-    assert registry.match_authorization(
-        "https://appleid.apple.com/auth/authorize") == "Apple"
+    assert registry.match_authorization(*_at(
+        "https://accounts.google.com/o/oauth2/v2/auth")) == "Google"
+    assert registry.match_authorization(*_at(
+        "https://www.facebook.com/v17.0/dialog/oauth")) == "Facebook"
+    assert registry.match_authorization(*_at(
+        "https://appleid.apple.com/auth/authorize")) == "Apple"
     assert registry.match_origin("https://accounts.google.com") == "Google"
 
 
@@ -537,6 +578,11 @@ def test_default_registry_is_its_document_through_load_registry():
     # one build path: the built-in document passes the file checks too
     assert classify.default_registry() == classify.load_registry(
         json.dumps(classify._BUILTIN_REGISTRY))
+
+
+def _at(url):
+    """The (parts, lowercased host) the registry matches a URL by."""
+    return split_url(url), url_host(url)
 
 
 def _reference_match(doc, url, keys):
@@ -585,9 +631,9 @@ _SHARED_HOST_DOC = {"idps": [
 ])
 def test_registry_matches_as_a_scan_in_document_order(url):
     registry = classify.load_registry(json.dumps(_SHARED_HOST_DOC))
-    assert registry.match_authorization(url) == _reference_match(
+    assert registry.match_authorization(*_at(url)) == _reference_match(
         _SHARED_HOST_DOC, url, ("authorization_patterns",))
-    assert registry.match_token(url) == _reference_match(
+    assert registry.match_token(*_at(url)) == _reference_match(
         _SHARED_HOST_DOC, url, ("token_patterns",))
 
 

@@ -8,7 +8,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
-from sso_auditor import classify, security, spar
+from sso_auditor import classify, domains, security, spar
 from sso_auditor.exceptions import ProfileMismatch
 from sso_auditor.synth import (
     IDP_NAME, LoginShape, build_har, build_meta, fixture_domain, har_entry,
@@ -705,3 +705,50 @@ def test_evidence_excerpt_is_cut_and_findings_need_evidence():
     with pytest.raises(ValueError):
         security.Finding(rule_id="csrf.missing", idp="Google", evidence=(),
                          message="m")
+
+
+def _beacon(index):
+    """A third-party beacon with nested URLs in its query, sent from the
+    login page."""
+    page = f"https://shop.example/p{index}?utm_source=mail&utm_term={index}"
+    relay = spar.encode_url(f"sync{index % 5}.example", "/redir",
+                            [("r", page), ("pid", str(index))])
+    url = f"https://collect{index % 7}.example/g?" + spar.encode_form(
+        [("v", "2"), ("dl", page), ("r", relay)])
+    return har_entry(url, started_at=f"2026-01-17T12:00:{index % 60:02d}Z",
+                     request_headers=[("Referer", f"https://shop.example/"
+                                                  f"login?ref={index}")])
+
+
+# splits of a login's redirect_uri, not of a request URL: its login key when
+# each recording's requests are deduplicated, when the run-2 partners are
+# indexed and when the login looks its partner up (4), its base and origin
+# for the response match (2), and its scheme and host for the plain-http
+# rule (1)
+SPLITS_PER_LOGIN = 7
+
+
+def test_each_request_url_is_split_once(monkeypatch):
+    shape = LoginShape(delivery="query")
+    runs = []
+    for run_index, seed in ((1, 1), (2, 2)):
+        entries = synth_login_entries(random.Random(seed), "shop.example",
+                                      shape)
+        entries += [_beacon(index) for index in range(200)]
+        runs.append((json.dumps(build_har(entries)),
+                     json.dumps(build_meta("shop.example",
+                                           run_index=run_index))))
+    calls = Counter()
+
+    def counting(url, *args, **kwargs):
+        calls[url] += 1
+        return urlsplit(url, *args, **kwargs)
+
+    monkeypatch.setattr(domains, "urlsplit", counting)
+    run1, run2 = (parse_trace_bundle(har, meta) for har, meta in runs)
+    analysis = security.run_all(run1, run2)
+    requests = len(run1.entries) + len(run2.entries)
+    assert requests >= 400
+    assert len(analysis.logins) == 1
+    assert sum(calls.values()) <= requests \
+        + SPLITS_PER_LOGIN * len(analysis.logins)

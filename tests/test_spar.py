@@ -8,6 +8,8 @@ import pytest
 from sso_auditor import spar
 from sso_auditor.exceptions import MalformedJwt
 
+from conftest import from_deeper
+
 
 def test_plain_value_stays_leaf():
     tree = spar.decode("abc123")
@@ -244,11 +246,6 @@ def test_decode_never_raises_near_the_json_nesting_limit():
             assert spar.decode(encoded).raw == encoded
 
 
-def _from_deeper(frames, fn):
-    """``fn()``, called ``frames`` Python frames below the caller."""
-    return fn() if frames == 0 else _from_deeper(frames - 1, fn)
-
-
 def _nested(levels):
     """JSON nested ``levels`` deep, objects and arrays in turn, around a
     string whose brackets, after an escaped quote, do not nest."""
@@ -279,7 +276,34 @@ def test_json_nesting_bound_holds_at_any_stack_depth(max_depth):
         top = spar.decode(value, max_depth)
         assert top.decoding == decoding
         assert top.is_leaf == (decoding == spar.LEAF)
-        assert _from_deeper(300, lambda: spar.decode(value, max_depth)) == top
+        assert from_deeper(300, lambda: spar.decode(value, max_depth)) == top
+
+
+def _jwt_with_payload(payload):
+    header = spar.encode_base64url('{"alg":"RS256"}').rstrip("=")
+    return f"{header}.{spar.encode_base64url(payload).rstrip('=')}.c2ln"
+
+
+def _jwt_parts_or_error(token):
+    try:
+        return spar.jwt_parts(token)
+    except MalformedJwt as exc:
+        return str(exc)
+
+
+def test_jwt_parts_nesting_bound_holds_at_any_stack_depth():
+    # 900 levels load at the top of the stack but not 150 frames deeper
+    bound = spar.MAX_JSON_NESTING
+    cases = [
+        (_jwt_with_payload(f'{{"sub":"1","x":{_nested(bound - 1)}}}'), True),
+        (_jwt_with_payload(f'{{"sub":"1","x":{_nested(bound)}}}'), False),
+        (_jwt_with_payload(f'{{"sub":"1","x":{_nested(900)}}}'), False),
+        (_jwt_with_header(f'{{"alg":"HS256","x":{_nested(900)}}}'), False),
+    ]
+    for token, loads in cases:
+        top = _jwt_parts_or_error(token)
+        assert isinstance(top, tuple) == loads
+        assert from_deeper(150, lambda: _jwt_parts_or_error(token)) == top
 
 
 def test_brackets_inside_json_strings_do_not_nest():

@@ -215,6 +215,17 @@ def _reference_http_url_parts(value):
     return None
 
 
+def _reference_load_container(text):
+    """The object or array ``json.loads`` gives, within the nesting bound."""
+    if spar._too_deep(text):
+        return None
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    return doc if isinstance(doc, (dict, list)) else None
+
+
 def _reference_is_absolute_http_url(value):
     return _reference_http_url_parts(value) is not None
 
@@ -250,9 +261,10 @@ def _index_of(tree, names):
 
 def _with_reference(fn, *args):
     """``fn(*args)`` with the reference attempt loop, ``parse_qsl``,
-    ``unquote``, ``json.dumps``, the split form check and the per-character
-    whitespace test in place of the decoder's own, and with every JSON
-    child and JWT header decoded again from its text."""
+    ``unquote``, ``json.dumps``, ``json.loads``, the split form check and
+    ``urlsplit`` after a per-character whitespace test in place of the
+    decoder's own, and with every JSON child and JWT header decoded again
+    from its text."""
     with ExitStack() as stack:
         for name, reference in (
                 ("_decode_node", _reference_decode_node),
@@ -262,6 +274,7 @@ def _with_reference(fn, *args):
                 ("_json_child_text", _reference_json_child_text),
                 ("_try_form", _reference_try_form),
                 ("_http_url_parts", _reference_http_url_parts),
+                ("_load_container", _reference_load_container),
                 ("_parsed", lambda doc: None)):
             stack.enter_context(mock.patch.object(spar, name, reference))
         return fn(*args)
@@ -388,6 +401,56 @@ def test_index_is_the_walk_definition(value, requested):
                 assert tree.to_dict() == plain.to_dict()
                 assert list(hits) == list(names)
                 assert _index_ids(hits) == _index_ids(_index_of(tree, names))
+
+
+# pieces near every edge of urlsplit: brackets, userinfo and ports,
+# delimiters in every order, case, non-ASCII hosts (one expanding to "a/c"
+# under NFKC), C0 controls and whitespace
+_URL_PIECES = ["[", "]", "::1", "[::1]", "@", ":", ":443", ":99999", "/",
+               "//", "?", "#", "x.example", "X.Example", "a", "%41", "&",
+               "=", "\u00e9", "b\u00fccher", "\u2100", "\uff0f", "\x00",
+               "\x01", "\x1f", "\x7f", "\t", "\n", " ", "\u3000"]
+_URL_STARTS = ["http://", "https://", "HTTP://", "hTtPs://", "http:/",
+               "https:", "ftp://", "", " https://"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(st.sampled_from(_URL_STARTS),
+                 st.lists(st.sampled_from(_URL_PIECES), max_size=12)
+                 .map("".join)).map("".join)
+       | st.text(max_size=30).map("https://".__add__))
+@example("https://[::1]:8443/cb?x=1")
+@example("https://[::1/cb")
+@example("https://::1]/cb")
+@example("https://user:pw@x.example:8080/p")
+@example("https://x.example:443")
+@example("https://x.example/p#f?q")
+@example("https://x.example/p?#f")
+@example("https://x.example?")
+@example("HTTPS://X.Example/P")
+@example("https://b\u00fccher.example/x")
+@example("https://\u2100.example/x")
+@example("https://x.example/\x00\x01p?q=\x1b")
+@example("https:///x")
+def test_http_url_parts_equal_the_urlsplit_reference(value):
+    assert spar._http_url_parts(value) == _reference_http_url_parts(value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(hostile_text
+       | st.text(alphabet=' \t\n\r\x1c\ufeff{}[]":,.-+0123456789eEaflnrstu\\',
+                 max_size=30))
+@example(' {"a": [1, 2.5e3, null]} \n')
+@example("[1] x")
+@example("[1]\x1c")
+@example("\ufeff[]")
+@example('"s"')
+@example("null")
+@example("")
+@example("[NaN, -Infinity]")
+def test_load_container_equals_json_loads(text):
+    assert repr(spar._load_container(text)) == \
+        repr(_reference_load_container(text))
 
 
 # text near every edge of the escape decoder: escapes in both cases,

@@ -3,6 +3,7 @@
 import json
 import random
 from datetime import timezone
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -189,6 +190,18 @@ def test_metadata_rejects_bad_run_index():
         parse_metadata(json.dumps(doc))
 
 
+@pytest.mark.parametrize("url, host", [
+    ("https://Login.Example:8443/a/b?x=1#f", "login.example"),
+    ("http://[::1]:8080/cb", "::1"),
+    ("https://user@shop.example", "shop.example"),
+])
+def test_requests_carry_their_split_url(url, host):
+    trace = parse_har(_har_bytes([har_entry(url)]), _META)
+    request = trace.entries[0].request
+    assert request.parts == urlsplit(url)
+    assert request.host == host
+
+
 # ---------------------------------------------------------------------------
 # in-browser communication events
 
@@ -233,6 +246,30 @@ def test_parse_ibc_rejects_bad_kind_and_origin():
         parse_ibc(json.dumps([_ibc_event(source_origin="not an origin")]))
     with pytest.raises(MalformedInput):
         parse_ibc(json.dumps([_ibc_event(source_origin="https://[::1")]))
+
+
+@pytest.mark.parametrize("recorded, origin", [
+    ("https://shop.example", "https://shop.example"),
+    ("https://shop.example:443", "https://shop.example"),
+    ("HTTPS://Shop.Example", "https://shop.example"),
+    ("http://shop.example:80", "http://shop.example"),
+    ("https://shop.example:8443", "https://shop.example:8443"),
+    ("http://[::1]:8080", "http://[::1]:8080"),
+])
+def test_parse_ibc_writes_origins_as_origin_of(recorded, origin):
+    (event,) = parse_ibc(json.dumps([_ibc_event(source_origin=recorded,
+                                                target_origin=recorded)]))
+    assert (event.source_origin, event.target_origin) == (origin, origin)
+
+
+@pytest.mark.parametrize("key", ["source_origin", "target_origin"])
+@pytest.mark.parametrize("recorded", [
+    "https://shop.example:99999", "https://shop.example:port",
+    "https://shop.example/cb", "ftp://shop.example",
+])
+def test_parse_ibc_rejects_an_origin_it_cannot_normalize(key, recorded):
+    with pytest.raises(MalformedInput, match=f"bad {key}"):
+        parse_ibc(json.dumps([_ibc_event(**{key: recorded})]))
 
 
 def test_ibc_sidecar_overrides_embedded_events():
