@@ -350,12 +350,14 @@ def detect_login_requests(view: DecodedTrace,
     return messages
 
 
-def dedupe_login_requests(messages: list[SsoMessage]) -> list[SsoMessage]:
-    """One login request per login key; first wins."""
+def dedupe_login_requests(messages: list[SsoMessage],
+                          ) -> dict[tuple[str, str], SsoMessage]:
+    """One login request per login key, first wins: the kept requests by
+    their key, in detection order."""
     kept: dict[tuple[str, str], SsoMessage] = {}
     for msg in messages:
         kept.setdefault(_login_key(msg), msg)
-    return list(kept.values())
+    return kept
 
 
 def _login_key(msg: SsoMessage) -> tuple[str, str]:
@@ -386,8 +388,9 @@ def match_login_response(view: DecodedTrace, request: SsoMessage,
     if not redirect_uri:
         return None
     trace = view.trace
-    base = _url_base(split_url(redirect_uri))
-    target_origin = origin_of(redirect_uri)
+    parts = split_url(redirect_uri)
+    base = _url_base(parts)
+    target_origin = origin_of(parts)
     req_time = _entry_time(trace, request)
 
     candidates: list[tuple[object, int, int, str]] = []
@@ -427,7 +430,7 @@ def classify_protocol(request: SsoMessage,
         return PROTOCOL_OIDC
     if "id_token" in (request.params.response_type or "").split():
         return PROTOCOL_OIDC
-    if response is not None and response.params.id_token:
+    if response is not None and response.params.id_token is not None:
         return PROTOCOL_OIDC
     return PROTOCOL_OAUTH2
 
@@ -495,19 +498,18 @@ def find_logins(view: DecodedTrace, registry: IdpRegistry | None = None,
     requests = dedupe_login_requests(detect_login_requests(view, registry))
     partners = {}
     if run2 is not None:
-        idps = frozenset(request.idp for request in requests)
+        idps = frozenset(request.idp for request in requests.values())
         view2 = decode_trace(run2, view.max_depth, view.max_nodes,
                              None if UNKNOWN_IDP in idps else idps, registry)
-        partners = {_login_key(msg): msg for msg in dedupe_login_requests(
-            detect_login_requests(view2, registry))}
+        partners = dedupe_login_requests(detect_login_requests(view2, registry))
     exchanges = _token_exchanges(view.trace, registry) if requests else []
     return [Login(request=request,
                   response=match_login_response(view, request),
-                  request2=partners.get(_login_key(request)),
+                  request2=partners.get(key),
                   token_exchange_visible=any(
                       idp == request.idp and _gives_more(doc, request)
                       for idp, doc in exchanges))
-            for request in requests]
+            for key, request in requests.items()]
 
 
 def _token_exchanges(trace: Trace, registry: IdpRegistry,

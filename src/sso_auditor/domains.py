@@ -88,13 +88,12 @@ def url_host(url: str) -> str:
     return (split_url(url).hostname or "").lower()
 
 
-def origin_of(url: str) -> str:
-    """scheme://host[:port] of a URL, lowercased, default ports dropped, an
-    IPv6 host in brackets as in a browser's origin.
+def origin_of(parts: SplitResult) -> str:
+    """scheme://host[:port] of a URL split into ``parts``, lowercased,
+    default ports dropped, an IPv6 host in brackets as in a browser's origin.
 
     Empty when the port is out of range.
     """
-    parts = split_url(url)
     scheme = parts.scheme.lower()
     host = (parts.hostname or "").lower()
     if ":" in host:

@@ -52,7 +52,6 @@ CATEGORY_VULNERABILITY = "vulnerability"
 
 BASIS_STATIC = "static-across-runs"
 BASIS_CHARSET = "charset-length"
-BASIS_ABSENT = "absent"
 
 MAX_EXCERPT = 200
 
@@ -174,7 +173,7 @@ def charset_class(value: str) -> str:
     return "printable"
 
 
-def estimate_entropy(node: spar.SparNode | None,
+def estimate_entropy(node: spar.SparNode,
                      paired_value: str | None = None) -> EntropyEstimate:
     """Upper-bound the randomness of a protocol parameter's decoded ``node``.
 
@@ -182,8 +181,6 @@ def estimate_entropy(node: spar.SparNode | None,
     all.  Otherwise the bound is the best leaf of the decoded value:
     length times log2 of the inferred charset class size.
     """
-    if node is None:
-        return EntropyEstimate(bits=0.0, basis=BASIS_ABSENT)
     if paired_value is not None and node.raw == paired_value:
         return EntropyEstimate(bits=0.0, basis=BASIS_STATIC)
     best = 0.0
@@ -255,10 +252,11 @@ def check_obsolete_flow(login: Login, cfg: RuleConfig) -> list[Finding]:
     if response is None:
         return []
     returned = classify.classify_returned_flow(response)
+    access_token = response.params.access_token is not None
     if returned == classify.FLOW_IMPLICIT:
         reason = "tokens are issued directly in the front channel (implicit flow)"
-        token_name = "access_token" if response.params.access_token else "id_token"
-    elif returned == classify.FLOW_HYBRID and response.params.access_token:
+        token_name = "access_token" if access_token else "id_token"
+    elif returned == classify.FLOW_HYBRID and access_token:
         reason = "hybrid flow delivers the access token in the front channel"
         token_name = "access_token"
     else:

@@ -554,14 +554,6 @@ def leaves(tree: SparNode) -> list[tuple[Path, str]]:
     return [(path, node.raw) for path, node in walk(tree) if node.is_leaf]
 
 
-def count_nodes(tree: SparNode) -> int:
-    return sum(1 for _ in walk(tree))
-
-
-def max_tree_depth(tree: SparNode) -> int:
-    return max(node.depth for _, node in walk(tree))
-
-
 def render_path(path: Path) -> str:
     return "/".join(path)
 
@@ -573,7 +565,8 @@ def jwt_parts(token: str) -> tuple[dict, dict, str]:
     """Split a compact JWT into (header, payload, signature segment).
 
     Raises MalformedJwt when the value is not a three-segment token with a
-    JSON object header carrying "alg" and a JSON object payload.
+    JSON object header carrying "alg" and a JSON object payload, each loaded
+    as ``_load_container`` loads it, within the nesting bound.
     """
     segments = token.split(".")
     if len(segments) != 3:
@@ -582,16 +575,10 @@ def jwt_parts(token: str) -> tuple[dict, dict, str]:
     payload_text = _b64url_to_text(segments[1])
     if header_text is None or payload_text is None:
         raise MalformedJwt("header or payload is not base64url text")
-    if _too_deep(header_text) or _too_deep(payload_text):
-        raise MalformedJwt("header or payload nests JSON more than "
-                           f"{MAX_JSON_NESTING} deep")
-    try:
-        header = json.loads(header_text)
-        payload = json.loads(payload_text)
-    except (ValueError, RecursionError) as exc:
-        raise MalformedJwt(f"header or payload is not JSON: {exc}") from exc
+    header = _load_container(header_text)
     if not isinstance(header, dict) or "alg" not in header:
         raise MalformedJwt("header is not a JSON object with an alg claim")
+    payload = _load_container(payload_text)
     if not isinstance(payload, dict):
         raise MalformedJwt("payload is not a JSON object")
     return header, payload, segments[2]

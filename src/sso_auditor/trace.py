@@ -35,14 +35,13 @@ MAX_BODY_CHARS = 5 * 1024 * 1024
 
 
 class TraceMetadata(NamedTuple):
-    """Checked by ``parse_metadata``: a known profile kind and a run index
-    of at least 1, and 1 or 2 for a login run."""
+    """Checked by ``parse_metadata``: a known profile kind.  It also requires
+    ``page_url`` and ``run_index`` (an integer of at least 1, and 1 or 2 for
+    a login run), which no reader uses, so they are not kept."""
 
     domain: str
-    page_url: str
     captured_at: datetime
     profile_kind: str
-    run_index: int
     idp_label: str | None = None
 
 
@@ -294,10 +293,8 @@ def parse_metadata(data: bytes | str) -> TraceMetadata:
         raise MalformedInput("login-run traces use run_index 1 or 2")
     return TraceMetadata(
         domain=str(doc["domain"]),
-        page_url=str(doc["page_url"]),
         captured_at=captured_at,
         profile_kind=profile_kind,
-        run_index=run_index,
         idp_label=str(idp) if idp is not None else None,
     )
 
@@ -343,7 +340,7 @@ def _origin(value: str, key: str) -> str:
     parts = split_url(value)
     origin = (parts.scheme in ("http", "https") and parts.netloc
               and not parts.path and not parts.query and not parts.fragment
-              and origin_of(value))
+              and origin_of(parts))
     if not origin:
         raise MalformedInput(f"bad {key}: {value!r}")
     return origin

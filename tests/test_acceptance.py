@@ -179,8 +179,9 @@ def test_spar_roundtrip_and_budgets():
     for _ in range(50):
         hostile = spar.encode_percent(hostile)
     tree = spar.decode(hostile)  # default budgets, must not raise
-    assert spar.max_tree_depth(tree) <= spar.DEFAULT_MAX_DEPTH
-    assert spar.count_nodes(tree) <= spar.DEFAULT_MAX_NODES
+    nodes = [node for _, node in spar.walk(tree)]
+    assert max(node.depth for node in nodes) <= spar.DEFAULT_MAX_DEPTH
+    assert len(nodes) <= spar.DEFAULT_MAX_NODES
     return "1000 structures exact, 50-level input capped silently"
 
 

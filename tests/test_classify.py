@@ -113,7 +113,7 @@ def test_dedupe_keeps_first_request_per_destination():
     trace = _login_trace()
     messages = classify.detect_login_requests(classify.decode_trace(trace))
     doubled = messages + messages
-    assert classify.dedupe_login_requests(doubled) == messages
+    assert list(classify.dedupe_login_requests(doubled).values()) == messages
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +413,8 @@ def _reference_logins(view, run2):
     """find_logins with all of run 2 decoded, then paired by a scan over
     the run-2 requests."""
     def requests(decoded_view):
-        return classify.dedupe_login_requests(
-            classify.detect_login_requests(decoded_view))
+        return list(classify.dedupe_login_requests(
+            classify.detect_login_requests(decoded_view)).values())
 
     view2 = classify.decode_trace(run2, view.max_depth, view.max_nodes)
     pairs = _pair_runs(requests(view), requests(view2))

@@ -68,4 +68,4 @@ def test_registrable_domain_equals_the_reference_on_drawn_hosts(host):
     ("http://127.0.0.1:8080/cb", "http://127.0.0.1:8080"),
 ])
 def test_origin_of_writes_an_ipv6_host_in_brackets(url, origin):
-    assert domains.origin_of(url) == origin
+    assert domains.origin_of(domains.split_url(url)) == origin

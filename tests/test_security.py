@@ -80,8 +80,9 @@ def test_estimate_entropy_exact_values():
 
 
 def test_estimate_entropy_absent_and_static():
-    absent = security.estimate_entropy(None)
-    assert (absent.bits, absent.basis) == (0.0, security.BASIS_ABSENT)
+    # without a paired value, a value is never judged static
+    absent = security.estimate_entropy(spar.decode("samevalue!"))
+    assert absent.basis == security.BASIS_CHARSET
 
     static = security.estimate_entropy(spar.decode("samevalue!"),
                                        "samevalue!")
@@ -168,6 +169,26 @@ def test_hybrid_without_access_token_is_not_obsolete():
     response = _response(code="c!", id_token="i.j.k")
     assert security.check_obsolete_flow(_login(request, response), CFG) == []
     assert security.check_obsolete_flow(_login(request), CFG) == []
+
+
+def test_an_empty_access_token_is_an_obsolete_flow():
+    # the callback carries the parameter with an empty value: it is still
+    # returned, as returned_token_kinds reads it
+    state = "Zq8vN2xT5rLw0pKdM4yH7cJ1bF6gS3aE"
+    authorize = "https://accounts.google.com/o/oauth2/v2/auth?" + \
+        spar.encode_form([("client_id", "client-1"),
+                          ("redirect_uri", "https://shop.example/cb"),
+                          ("response_type", "token"), ("state", state)])
+    trace = _trace([har_entry(authorize),
+                    har_entry(f"https://shop.example/cb#access_token=&"
+                              f"state={state}",
+                              started_at="2026-01-17T12:00:05Z")])
+    analysis = security.run_all(trace)
+    assert analysis.rule_ids() == {"flow.obsolete"}
+    (finding,) = analysis.findings
+    assert finding.evidence[0].spar_path == "http-fragment:access_token"
+    assert classify.classify_protocol(_request(), _response(id_token="")) \
+        == classify.PROTOCOL_OIDC
 
 
 def test_protocol_mixup_id_token_without_openid_scope():
@@ -346,6 +367,20 @@ def test_id_token_alg_rules():
     findings = check(broken)
     assert _rule_ids(findings) == ["idtoken.malformed"]
     assert findings[0].category == "potential-issue"
+
+    def part(text):
+        return spar.encode_base64url(text).rstrip("=")
+
+    deep = "[" * 100 + "]" * 100
+    for header, payload, reason in (
+            ("{alg:RS256}", '{"sub":"1"}',
+             "header is not a JSON object with an alg claim"),
+            ('{"alg":"RS256"}', f'{{"sub":"1","x":{deep}}}',
+             "payload is not a JSON object"),
+            ('{"alg":"RS256"}', '["sub"]', "payload is not a JSON object")):
+        token = f"{part(header)}.{part(payload)}.c2ln"
+        (finding,) = check(_response(id_token=token))
+        assert finding.message == f"id_token does not decode as a JWT: {reason}"
 
 
 # ---------------------------------------------------------------------------
@@ -721,11 +756,9 @@ def _beacon(index):
 
 
 # splits of a login's redirect_uri, not of a request URL: its login key when
-# each recording's requests are deduplicated, when the run-2 partners are
-# indexed and when the login looks its partner up (4), its base and origin
-# for the response match (2), and its scheme and host for the plain-http
-# rule (1)
-SPLITS_PER_LOGIN = 7
+# each recording's requests are deduplicated (2), its base and origin for the
+# response match (1), and its scheme and host for the plain-http rule (1)
+SPLITS_PER_LOGIN = 4
 
 
 def test_each_request_url_is_split_once(monkeypatch):

@@ -16,7 +16,7 @@ def test_plain_value_stays_leaf():
     assert tree.is_leaf
     assert tree.decoding == spar.LEAF
     assert tree.raw == "abc123"
-    assert spar.count_nodes(tree) == 1
+    assert len(list(spar.walk(tree))) == 1
 
 
 def test_form_pairs_decode_to_children():
@@ -198,13 +198,13 @@ def test_max_depth_truncates_silently():
     for _ in range(20):
         value = "outer=" + spar.encode_percent(value)
     tree = spar.decode(value, max_depth=4, max_nodes=10_000)
-    assert spar.max_tree_depth(tree) <= 4
+    assert max(node.depth for _, node in spar.walk(tree)) <= 4
 
 
 def test_max_nodes_truncates_silently():
     value = "&".join(f"k{i}={i}" for i in range(100))
     tree = spar.decode(value, max_nodes=10)
-    assert spar.count_nodes(tree) <= 10
+    assert len(list(spar.walk(tree))) <= 10
 
 
 def test_budget_validation():

@@ -151,8 +151,9 @@ def test_decode_is_deterministic(structure):
        st.integers(min_value=1, max_value=40))
 def test_budgets_hold_for_arbitrary_input(value, max_depth, max_nodes):
     tree = spar.decode(value, max_depth=max_depth, max_nodes=max_nodes)
-    assert spar.count_nodes(tree) <= max_nodes
-    assert spar.max_tree_depth(tree) <= max_depth
+    nodes = [node for _, node in spar.walk(tree)]
+    assert len(nodes) <= max_nodes
+    assert max(node.depth for node in nodes) <= max_depth
 
 
 @settings(max_examples=100, deadline=None)
@@ -369,7 +370,7 @@ def test_reference_expander_runs_at_every_level():
 
     with mock.patch.object(spar, "_decode_node", recording):
         tree = spar.decode(value)
-    assert spar.count_nodes(tree) == 5
+    assert len(list(spar.walk(tree))) == 5
     assert sorted(depths) == [0, 1, 2, 3, 3]
     assert tree.to_dict() == spar.decode(value).to_dict()
 
