@@ -213,22 +213,22 @@ def _mime(body_mime: str | None) -> str:
 class DecodedItem(NamedTuple):
     """One HTTP entry (query, fragment, body surfaces) or IBC event (payload).
 
-    ``surfaces`` holds, per surface with any, the hits of the parameter
-    names (``SsoParams._fields``): each name -> every ``(path, node)``
-    ending in it, in preorder; no other segment is kept.  ``params`` and
-    ``locations`` give the first hit per name across the surfaces, in that
-    order, and ``token_channel`` the first surface carrying a token
-    parameter, if any.
+    ``surfaces`` maps each channel with any hits of the parameter names
+    (``SsoParams._fields``), in surface order, to them: each name -> every
+    ``(path, node)`` ending in it, in preorder; no other segment is kept.
+    ``params`` and ``locations`` give the first hit per name across the
+    surfaces, in that order, and ``token_channel`` the first surface
+    carrying a token parameter, if any.
     """
 
-    surfaces: tuple[tuple[str, spar.SegmentIndex], ...]
+    surfaces: dict[str, spar.SegmentIndex]
     params: SsoParams
     locations: dict[str, ParamLocation]
     token_channel: str | None
 
 
 # every item that was not decoded or has no parameter hits; never mutated
-_EMPTY_ITEM = DecodedItem(surfaces=(), params=SsoParams(), locations={},
+_EMPTY_ITEM = DecodedItem(surfaces={}, params=SsoParams(), locations={},
                           token_channel=None)
 
 
@@ -296,18 +296,18 @@ def _entry_surfaces(entry: HttpEntry) -> list[Surface]:
 
 def _decoded_item(surfaces: list[Surface], max_depth: int,
                   max_nodes: int) -> DecodedItem:
-    hit_surfaces = []
+    hit_surfaces: dict[str, spar.SegmentIndex] = {}
     for channel, decoder, value in surfaces:
         hits: spar.SegmentIndex = {name: [] for name in SsoParams._fields}
         decoder(value, max_depth, max_nodes, hits=hits)
         found = {name: nodes for name, nodes in hits.items() if nodes}
         if found:
-            hit_surfaces.append((channel, found))
+            hit_surfaces[channel] = found
     if not hit_surfaces:
         return _EMPTY_ITEM
     locations: dict[str, ParamLocation] = {}
     token_channel = None
-    for channel, hits in hit_surfaces:
+    for channel, hits in hit_surfaces.items():
         for name in SsoParams._fields:
             if name in hits and name not in locations:
                 path, node = hits[name][0]
@@ -316,7 +316,7 @@ def _decoded_item(surfaces: list[Surface], max_depth: int,
         if token_channel is None and any(name in hits for name in TOKEN_PARAMS):
             token_channel = channel
     values = {name: loc.node.raw for name, loc in locations.items()}
-    return DecodedItem(surfaces=tuple(hit_surfaces),
+    return DecodedItem(surfaces=hit_surfaces,
                        params=SsoParams(**values),
                        locations=locations, token_channel=token_channel)
 

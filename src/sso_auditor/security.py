@@ -423,73 +423,60 @@ LOGIN_RULES = (
 # ---------------------------------------------------------------------------
 # trace-level rules: ``idp`` labels findings not anchored to one login
 
+# trace-level leak rule -> its findings' message, in the findings' order
+_LEAK_MESSAGES = {
+    RULE_SECRET_FC: "client_secret is exposed in the front channel",
+    RULE_REFERER_LEAK: "login tokens leak through the Referer header to a "
+                       "third party",
+    RULE_TOKEN_IN_URL: "login tokens appear in navigated URL query strings "
+                       "(browser history, server logs)",
+}
+
+
 def check_secret_leakage(view: DecodedTrace, requests: list[SsoMessage],
                          idp: str) -> list[Finding]:
     trace = view.trace
-    findings = []
-
-    # bodies are not browser-visible URLs; IBC payloads are front channel
-    secret_evidence = [
-        Evidence(entry_index=index,
-                 spar_path=f"{channel}:{spar.render_path(path)}",
-                 excerpt=node.raw)
-        for items in (view.entries, view.ibc_events)
-        for index, item in enumerate(items)
-        for channel, hits in item.surfaces if channel != classify.CHANNEL_BODY
-        for path, node in hits.get("client_secret", ())
-    ]
-    if secret_evidence:
-        findings.append(Finding(
-            rule_id=RULE_SECRET_FC, idp=idp,
-            evidence=tuple(secret_evidence),
-            message="client_secret is exposed in the front channel",
-        ))
-
-    client_site = registrable_domain(trace.metadata.domain)
-    idp_sites = {registrable_domain(trace.entries[m.entry_ref].request.host)
-                 for m in requests if m.ref_kind == classify.REF_ENTRY}
-    referer_evidence = []
+    own_sites = {registrable_domain(trace.metadata.domain)} | {
+        registrable_domain(trace.entries[m.entry_ref].request.host)
+        for m in requests if m.ref_kind == classify.REF_ENTRY}
+    evidence: dict[str, list[Evidence]] = {rule: [] for rule in _LEAK_MESSAGES}
     # the path depends only on the value and the view's budgets
     referer_paths: dict[str, spar.Path | None] = {}
-    for index, entry in enumerate(trace.entries):
-        referer = entry.request.header("referer")
-        if not referer:
-            continue
-        dest_site = registrable_domain(entry.request.host)
-        if dest_site == client_site or dest_site in idp_sites:
-            continue
-        if referer not in referer_paths:
-            referer_paths[referer] = _token_path(spar.decode, referer, view)
-        path = referer_paths[referer]
+    for index, (entry, item) in enumerate(zip(trace.entries, view.entries)):
+        evidence[RULE_SECRET_FC] += _secret_evidence(index, item)
+        referer = entry.request.referer
+        if referer and registrable_domain(entry.request.host) not in own_sites:
+            if referer not in referer_paths:
+                referer_paths[referer] = _token_path(spar.decode, referer,
+                                                     view)
+            path = referer_paths[referer]
+            if path is not None:
+                evidence[RULE_REFERER_LEAK].append(Evidence(
+                    entry_index=index,
+                    spar_path=f"referer:{spar.render_path(path)}",
+                    excerpt=referer))
+        path = _first_token_path(item.surfaces.get(classify.CHANNEL_QUERY, {}))
         if path is not None:
-            referer_evidence.append(Evidence(
-                entry_index=index, spar_path=f"referer:{spar.render_path(path)}",
-                excerpt=referer))
-    if referer_evidence:
-        findings.append(Finding(
-            rule_id=RULE_REFERER_LEAK, idp=idp,
-            evidence=tuple(referer_evidence),
-            message="login tokens leak through the Referer header to a "
-                    "third party",
-        ))
-
-    url_evidence = []
-    for index, item in enumerate(view.entries):
-        query = dict(item.surfaces).get(classify.CHANNEL_QUERY, {})
-        path = _first_token_path(query)
-        if path is not None:
-            url_evidence.append(Evidence(
+            evidence[RULE_TOKEN_IN_URL].append(Evidence(
                 entry_index=index,
                 spar_path=f"{classify.CHANNEL_QUERY}:{spar.render_path(path)}",
-                excerpt=trace.entries[index].request.url))
-    if url_evidence:
-        findings.append(Finding(
-            rule_id=RULE_TOKEN_IN_URL, idp=idp,
-            evidence=tuple(url_evidence),
-            message="login tokens appear in navigated URL query strings "
-                    "(browser history, server logs)",
-        ))
-    return findings
+                excerpt=entry.request.url))
+    for index, item in enumerate(view.ibc_events):
+        evidence[RULE_SECRET_FC] += _secret_evidence(index, item)
+    return [Finding(rule_id=rule, idp=idp, evidence=tuple(items),
+                    message=_LEAK_MESSAGES[rule])
+            for rule, items in evidence.items() if items]
+
+
+def _secret_evidence(index: int, item: classify.DecodedItem) -> list[Evidence]:
+    """Each client_secret in a front-channel surface of ``item``: bodies are
+    not browser-visible URLs; IBC payloads are front channel."""
+    return [Evidence(entry_index=index,
+                     spar_path=f"{channel}:{spar.render_path(path)}",
+                     excerpt=node.raw)
+            for channel, hits in item.surfaces.items()
+            if channel != classify.CHANNEL_BODY
+            for path, node in hits.get("client_secret", ())]
 
 
 def _token_path(decoder, value: str, view: DecodedTrace) -> spar.Path | None:

@@ -35,9 +35,10 @@ MAX_BODY_CHARS = 5 * 1024 * 1024
 
 
 class TraceMetadata(NamedTuple):
-    """Checked by ``parse_metadata``: a known profile kind.  It also requires
-    ``page_url`` and ``run_index`` (an integer of at least 1, and 1 or 2 for
-    a login run), which no reader uses, so they are not kept."""
+    """Checked by ``parse_metadata``: a string domain and IdP label (if any)
+    and a known profile kind.  It also requires ``page_url`` and
+    ``run_index`` (an integer of at least 1, and 1 or 2 for a login run),
+    which no reader uses, so they are not kept."""
 
     domain: str
     captured_at: datetime
@@ -48,17 +49,15 @@ class TraceMetadata(NamedTuple):
 class HttpRequest(NamedTuple):
     """``parts`` is ``url`` split, once, at parse time, and ``host`` its
     lowercased host name; every reader of the request URL takes them from
-    here instead of splitting ``url`` again."""
+    here instead of splitting ``url`` again.  ``referer`` is the only
+    request header a rule reads."""
 
     url: str
     parts: SplitResult
     host: str
-    headers: tuple[tuple[str, str], ...] = ()
+    referer: str | None = None
     body: str | None = None
     body_mime: str | None = None
-
-    def header(self, name: str) -> str | None:
-        return _header_value(self.headers, name.lower())
 
 
 class HttpResponse(NamedTuple):
@@ -184,15 +183,15 @@ def _parse_entry(index: int, raw: object) -> HttpEntry:
     if not isinstance(status, int) or not 100 <= status <= 599:
         raise EntryError(index, f"status out of range: {status!r}")
 
-    req_headers = _parse_headers(request.get("headers"))
-    resp_headers = _parse_headers(response.get("headers"))
-
-    body, body_mime = _parse_post_data(request.get("postData"))
-    resp_body, resp_mime, truncated = _parse_content(response.get("content"))
+    body, body_mime = _text(request.get("postData"))
+    resp_body, resp_mime = _text(response.get("content"))
+    truncated = resp_body is not None and len(resp_body) > MAX_BODY_CHARS
+    if truncated:
+        resp_body = resp_body[:MAX_BODY_CHARS]
 
     redirect_target = None
     if status in REDIRECT_STATUSES:
-        location = _header_value(resp_headers, "location")
+        location = _header(response.get("headers"), "location")
         if location is None:
             redirect_url = response.get("redirectURL")
             if isinstance(redirect_url, str) and redirect_url:
@@ -208,7 +207,7 @@ def _parse_entry(index: int, raw: object) -> HttpEntry:
             url=url,
             parts=parts,
             host=(parts.hostname or "").lower(),
-            headers=req_headers,
+            referer=_header(request.get("headers"), "referer"),
             body=body,
             body_mime=body_mime,
         ),
@@ -223,46 +222,29 @@ def _parse_entry(index: int, raw: object) -> HttpEntry:
     )
 
 
-def _parse_headers(raw: object) -> tuple[tuple[str, str], ...]:
+def _header(raw: object, name: str) -> str | None:
+    """The value of the first header in the HAR list ``raw`` whose name is
+    ``name`` (lowercase) in any case; items that are not objects, and names
+    or values that are not strings, are skipped."""
     if not isinstance(raw, list):
-        return ()
-    out = []
+        return None
     for item in raw:
         if isinstance(item, dict):
-            name, value = item.get("name"), item.get("value")
-            if isinstance(name, str) and isinstance(value, str):
-                out.append((name, value))
-    return tuple(out)
-
-
-def _header_value(headers: tuple[tuple[str, str], ...], name: str) -> str | None:
-    for key, value in headers:
-        if key.lower() == name:
-            return value
+            key, value = item.get("name"), item.get("value")
+            if isinstance(key, str) and isinstance(value, str) \
+                    and key.lower() == name:
+                return value
     return None
 
 
-def _parse_post_data(raw: object) -> tuple[str | None, str | None]:
+def _text(raw: object) -> tuple[str | None, str | None]:
+    """(text, mimeType) of a HAR postData or content object, each None
+    unless it is a string."""
     if not isinstance(raw, dict):
         return None, None
-    text = raw.get("text")
-    mime = raw.get("mimeType")
+    text, mime = raw.get("text"), raw.get("mimeType")
     return (text if isinstance(text, str) else None,
             mime if isinstance(mime, str) else None)
-
-
-def _parse_content(raw: object) -> tuple[str | None, str | None, bool]:
-    if not isinstance(raw, dict):
-        return None, None, False
-    text = raw.get("text")
-    mime = raw.get("mimeType")
-    truncated = False
-    if isinstance(text, str) and len(text) > MAX_BODY_CHARS:
-        text = text[:MAX_BODY_CHARS]
-        truncated = True
-    return (text if isinstance(text, str) else None,
-            mime if isinstance(mime, str) else None,
-            truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +264,11 @@ def parse_metadata(data: bytes | str) -> TraceMetadata:
     run_index = doc["run_index"]
     if isinstance(run_index, bool) or not isinstance(run_index, int):
         raise MalformedInput(f"run_index is not an integer: {run_index!r}")
-    idp = doc.get("idp")
+    domain, idp = doc["domain"], doc.get("idp")
+    if not isinstance(domain, str):
+        raise MalformedInput(f"domain is not a string: {domain!r}")
+    if "idp" in doc and not isinstance(idp, str):
+        raise MalformedInput(f"idp is not a string: {idp!r}")
     captured_at = parse_timestamp(doc["captured_at"])
     profile_kind = str(doc["profile_kind"])
     if profile_kind not in PROFILE_KINDS:
@@ -292,10 +278,10 @@ def parse_metadata(data: bytes | str) -> TraceMetadata:
     if profile_kind == PROFILE_LOGIN_RUN and run_index not in (1, 2):
         raise MalformedInput("login-run traces use run_index 1 or 2")
     return TraceMetadata(
-        domain=str(doc["domain"]),
+        domain=domain,
         captured_at=captured_at,
         profile_kind=profile_kind,
-        idp_label=str(idp) if idp is not None else None,
+        idp_label=idp,
     )
 
 

@@ -287,6 +287,26 @@ def test_out_of_range_timestamp_gives_an_error_row(tmp_path, capsys, field,
     assert "out of range" in error["error"] and stamp in error["error"]
 
 
+@pytest.mark.parametrize("key, value", [("domain", None), ("idp", ["x"])])
+def test_non_string_metadata_label_gives_an_error_row(tmp_path, capsys, key,
+                                                      value):
+    root = tmp_path / "traces"
+    bad = _write_unit("analyze", root / "a.example" / "google", "a.example", 3)
+    _write_unit("analyze", root / "b.example" / "google", "b.example", 4)
+    meta = json.loads((bad / "meta.json").read_text())
+    meta[key] = value
+    (bad / "meta.json").write_text(json.dumps(meta))
+    code = cli.main(["analyze", str(root)])
+    captured = capsys.readouterr()
+    assert code in (0, 2) and captured.err == ""
+    doc = json.loads(captured.out)
+    (error,) = doc["errors"]
+    assert error["unit"] == "a.example/google"
+    assert f"{key} is not a string" in error["error"]
+    assert [fragment["domain"] for fragment in doc["security"]] == \
+        ["b.example"]
+
+
 def _table_cells(line: str) -> list[str]:
     """The cells of one Markdown table row; an escaped "\\|" is no border."""
     assert line.startswith("| ") and line.endswith(" |"), line

@@ -275,7 +275,7 @@ def test_open_redirect_reads_redirect_uri_as_the_view_cut_it():
     for depth, expected in ((3, ["redirect.nested-url"]), (2, [])):
         view = classify.decode_trace(trace, max_depth=depth)
         (login,) = classify.find_logins(view)
-        ((_, hits),) = view.entries[0].surfaces
+        (hits,) = view.entries[0].surfaces.values()
         assert login.request.locations["redirect_uri"].node \
             is hits["redirect_uri"][0][1]
         cfg = security.RuleConfig(max_spar_depth=depth)
@@ -394,6 +394,31 @@ def test_client_secret_in_query_is_flagged():
                                              "Google")
     assert _rule_ids(findings) == ["secret.client-secret-fc"]
     assert findings[0].evidence[0].excerpt == "s3cr3t!"
+
+
+def test_client_secret_evidence_is_entries_then_post_messages():
+    auth = "https://accounts.google.com/o/oauth2/v2/auth"
+    entries = [
+        har_entry(f"{auth}?client_secret=q!",
+                  started_at="2026-01-17T12:00:00Z"),
+        har_entry(f"{auth}#client_secret=f!",
+                  started_at="2026-01-17T12:00:01Z"),
+        har_entry("https://oauth2.googleapis.com/token", method="POST",
+                  post_text="client_secret=b!",
+                  started_at="2026-01-17T12:00:02Z"),
+    ]
+    ibc = [{"kind": "post-message", "source_origin": "https://shop.example",
+            "target_origin": "*", "payload": payload,
+            "at": f"2026-01-17T12:00:0{n}Z"}
+           for n, payload in enumerate(["hello", {"client_secret": "m!"}])]
+    view = classify.decode_trace(_trace(entries, ibc))
+    (finding,) = security.check_secret_leakage(view, [], "Google")
+    assert finding.rule_id == "secret.client-secret-fc"
+    assert [tuple(item) for item in finding.evidence] == [
+        (0, "http-query:client_secret", "q!"),
+        (1, "http-fragment:client_secret", "f!"),
+        (1, "post-message:client_secret", "m!"),
+    ]
 
 
 def test_client_secret_in_post_body_is_back_channel():
@@ -526,7 +551,7 @@ def _decodable_values(trace):
     for entry in trace.entries:
         parts = urlsplit(entry.request.url)
         values |= {parts.query, parts.fragment, entry.request.body,
-                   entry.request.header("referer")}
+                   entry.request.referer}
         target = entry.response.redirect_target
         if entry.response.status == 307 and target:
             parts = urlsplit(target)

@@ -107,11 +107,24 @@ def test_entry_error_on_bad_status():
 
 
 def test_header_lookup_is_case_insensitive():
-    entries = [har_entry("https://a.example/",
-                         request_headers=[("X-Custom", "yes")])]
-    trace = parse_har(_har_bytes(entries), _META)
-    assert trace.entries[0].request.header("x-custom") == "yes"
-    assert trace.entries[0].request.header("missing") is None
+    # items that are not objects, or whose name or value is not a string,
+    # are skipped on both sides
+    junk = ["Location: /x", {"name": 7, "value": "/x"},
+            {"name": "Location", "value": ["/x"]},
+            {"name": "Referer", "value": None}]
+    first = har_entry("https://a.example/start", status=302,
+                      request_headers=[("X-Custom", "yes"),
+                                       ("REFERER", "https://b.example/")])
+    first["request"]["headers"][:0] = junk
+    first["response"]["headers"] = [*junk, {"name": "LOCATION",
+                                            "value": "/next"}]
+    assert first["response"]["redirectURL"] == ""
+    second = har_entry("https://a.example/",
+                       request_headers=[("X-Custom", "yes")])
+    trace = parse_har(_har_bytes([first, second]), _META)
+    assert [entry.request.referer for entry in trace.entries] == \
+        ["https://b.example/", None]
+    assert trace.entries[0].response.redirect_target == "https://a.example/next"
 
 
 def test_redirect_target_resolves_relative_location():
@@ -119,6 +132,10 @@ def test_redirect_target_resolves_relative_location():
                          location="/next")]
     trace = parse_har(_har_bytes(entries), _META)
     assert trace.entries[0].response.redirect_target == "https://a.example/next"
+    # only a redirect status reads the response headers
+    entries = [har_entry("https://a.example/start", location="/next")]
+    trace = parse_har(_har_bytes(entries), _META)
+    assert trace.entries[0].response.redirect_target is None
 
 
 def test_redirect_target_keeps_unsplittable_location():
@@ -161,6 +178,16 @@ def test_metadata_requires_every_field():
 def test_metadata_idp_is_optional():
     meta = parse_metadata(json.dumps(build_meta("shop.example", idp=None)))
     assert meta.idp_label is None
+
+
+@pytest.mark.parametrize("key, value", [
+    ("domain", None), ("domain", 7), ("idp", ["x"]), ("idp", None),
+])
+def test_metadata_rejects_non_string_domain_and_idp(key, value):
+    doc = build_meta("shop.example")
+    doc[key] = value
+    with pytest.raises(MalformedInput, match=f"{key} is not a string"):
+        parse_metadata(json.dumps(doc))
 
 
 def test_metadata_rejects_unknown_profile():
